@@ -45,16 +45,9 @@ G_MIN_WIDE = 1.0 / 3.0
 _DEGENERATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DichotomicParams:
-    """Measurement setting (p, phi) selecting the Bernoulli basis pair."""
-
-    p: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+#: A measurement setting (p, phi) selects the Bernoulli basis pair, so it is
+#: the same parameter pair as the state |p, phi>.
+DichotomicParams = GbsParams
 
 
 @dataclass(frozen=True)
@@ -92,15 +85,37 @@ class BellConfig:
     phi2_prime: float
 
     def __post_init__(self):
+        for name in ("p", "theta", "eta", "phi1", "phi2", "phi1_prime", "phi2_prime"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
 
     @property
-    def angles(self) -> tuple[float, float, float, float]:
-        return (self.phi1, self.phi2, self.phi1_prime, self.phi2_prime)
+    def settings(self) -> tuple[tuple[float, float], ...]:
+        """The four (phi_a, phi_b) pairs in the order chsh() takes them."""
+        return (
+            (self.phi1, self.phi2),
+            (self.phi1, self.phi2_prime),
+            (self.phi1_prime, self.phi2),
+            (self.phi1_prime, self.phi2_prime),
+        )
+
+    @property
+    def state_params(self) -> EntangledGbsParams:
+        """The symmetric state p1 = p2 = p, theta1 = theta2 = theta."""
+        return EntangledGbsParams(
+            p1=self.p, p2=self.p, theta1=self.theta, theta2=self.theta, eta=self.eta
+        )
 
 
-def dichotomic_operator(d: DichotomicParams, n_max: int = DEFAULT_N_MAX) -> FieldOperator:
+def chsh(c11: float, c12: float, c21: float, c22: float) -> float:
+    """CHSH combination |C11 - C12| + |C21 + C22| of the four correlations."""
+    return abs(c11 - c12) + abs(c21 + c22)
+
+
+def dichotomic_operator(d: GbsParams, n_max: int = DEFAULT_N_MAX) -> FieldOperator:
     """F_p(phi) as a dense Fock-space matrix.
 
     On the {|0>, |1>} block it reads (2p-1)(|1><1| - |0><0|)
@@ -198,9 +213,7 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
     return -1.0 + k * bracket
 
 
-def dichotomic_pair_expectation(
-    state: TwoCavityState, d1: DichotomicParams, d2: DichotomicParams
-) -> float:
+def dichotomic_pair_expectation(state: TwoCavityState, d1: GbsParams, d2: GbsParams) -> float:
     """Operator-oracle correlation of F_{d1} x F_{d2} on an arbitrary joint state."""
     op = joint(dichotomic_operator(d1, state.n_max), dichotomic_operator(d2, state.n_max))
     return expectation(op, state).real
@@ -210,41 +223,23 @@ def bell_correlation_operator(
     config: BellConfig, phi_a: float, phi_b: float, n_max: int = DEFAULT_N_MAX
 ) -> float:
     """Correlation computed by building the state and the tensored operators."""
-    params = EntangledGbsParams(
-        p1=config.p, p2=config.p, theta1=config.theta, theta2=config.theta, eta=config.eta
-    )
-    state = entangled_gbs_state(params, n_max)
-    return dichotomic_pair_expectation(
-        state, DichotomicParams(config.p, phi_a), DichotomicParams(config.p, phi_b)
-    )
+    state = entangled_gbs_state(config.state_params, n_max)
+    return dichotomic_pair_expectation(state, GbsParams(config.p, phi_a), GbsParams(config.p, phi_b))
 
 
 def bell_function(config: BellConfig) -> float:
     """CHSH combination S_B from closed-form correlations."""
-    c11 = bell_correlation(config, config.phi1, config.phi2)
-    c12 = bell_correlation(config, config.phi1, config.phi2_prime)
-    c21 = bell_correlation(config, config.phi1_prime, config.phi2)
-    c22 = bell_correlation(config, config.phi1_prime, config.phi2_prime)
-    return abs(c11 - c12) + abs(c21 + c22)
+    return chsh(*(bell_correlation(config, phi_a, phi_b) for phi_a, phi_b in config.settings))
 
 
 def bell_function_operator(config: BellConfig, n_max: int = DEFAULT_N_MAX) -> float:
     """S_B with every correlation taken from the operator oracle."""
-    params = EntangledGbsParams(
-        p1=config.p, p2=config.p, theta1=config.theta, theta2=config.theta, eta=config.eta
-    )
-    state = entangled_gbs_state(params, n_max)
-
-    def corr(phi_a: float, phi_b: float) -> float:
-        return dichotomic_pair_expectation(
-            state, DichotomicParams(config.p, phi_a), DichotomicParams(config.p, phi_b)
-        )
-
-    c11 = corr(config.phi1, config.phi2)
-    c12 = corr(config.phi1, config.phi2_prime)
-    c21 = corr(config.phi1_prime, config.phi2)
-    c22 = corr(config.phi1_prime, config.phi2_prime)
-    return abs(c11 - c12) + abs(c21 + c22)
+    state = entangled_gbs_state(config.state_params, n_max)
+    correlations = [
+        dichotomic_pair_expectation(state, GbsParams(config.p, phi_a), GbsParams(config.p, phi_b))
+        for phi_a, phi_b in config.settings
+    ]
+    return chsh(*correlations)
 
 
 def bell_function_at_half(config: BellConfig) -> float:
@@ -330,22 +325,31 @@ def bell_function_vs_p(
     return out
 
 
+def p_grid(step: float) -> np.ndarray:
+    """The grid 0, step, ..., 1 over p; the step must divide the unit interval."""
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    count = round(1.0 / step)
+    if not abs(count * step - 1.0) <= 1e-9:  # also refuses an infinite step
+        raise ValueError(f"step {step!r} does not divide [0, 1]")
+    return np.linspace(0.0, 1.0, count + 1)
+
+
+def p_argmax(ps, values) -> float:
+    """The p of the largest S_B on a grid.
+
+    Ties within 1e-12 of the maximum are broken towards p = 0.5; the scan is
+    symmetric about that point, so this picks the physically distinguished
+    optimum.
+    """
+    best = float(np.max(values))
+    candidates = [float(p) for p, v in zip(ps, values) if v >= best - 1e-12]
+    return min(candidates, key=lambda p: (abs(p - 0.5), p))
+
+
 def optimal_p_scan(
     theta: float, eta: float, angles: tuple[float, float, float, float], step: float = 0.005
 ) -> float:
-    """Grid-scan p in [0, 1] for the maximum of S_B.
-
-    The step must divide the unit interval. Ties within 1e-12 of the
-    maximum are broken towards p = 0.5; the scan is symmetric about that
-    point, so this picks the physically distinguished optimum.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    count = round(1.0 / step)
-    if abs(count * step - 1.0) > 1e-9:
-        raise ValueError(f"step {step!r} does not divide [0, 1]")
-    ps = np.linspace(0.0, 1.0, count + 1)
-    values = bell_function_vs_p(theta, eta, angles, ps)
-    best = float(values.max())
-    candidates = [float(p) for p, v in zip(ps, values) if v >= best - 1e-12]
-    return min(candidates, key=lambda p: (abs(p - 0.5), p))
+    """Grid-scan p in [0, 1] for the maximum of S_B."""
+    ps = p_grid(step)
+    return p_argmax(ps, bell_function_vs_p(theta, eta, angles, ps))

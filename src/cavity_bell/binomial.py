@@ -60,7 +60,10 @@ class BinomialParams:
 
 @dataclass(frozen=True)
 class GbsParams:
-    """Parameters (p, phi) of a generalized Bernoulli state (N = 1)."""
+    """Parameters (p, phi) of a generalized Bernoulli state (N = 1).
+
+    The same pair selects the basis of the dichotomic field observable.
+    """
 
     p: float
     phi: float
@@ -68,6 +71,8 @@ class GbsParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi!r}")
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 

@@ -10,8 +10,9 @@ Subcommands produce the data files behind the usual plots and reports:
     sensitivity  pulse-timing error sweep (CSV)
 
 Every command writes its output file plus a flat key-value manifest at
-<out>.manifest recording the command, resolved parameters and seed, so a
-run can be reproduced byte-identically. Angles accept plain radians or
+<out>.manifest recording the command and resolved parameters, plus the seed
+for simulate, the one command that draws random numbers, so a run can be
+reproduced byte-identically. Angles accept plain radians or
 multiples of pi such as "0.25pi". CSV output uses '.' decimals, twelve
 significant digits, LF line endings and a header row. Negative values of
 option arguments need the = form, e.g. --theta2=-0.3pi.
@@ -23,8 +24,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bell import (
     PRESETS,
@@ -34,7 +33,8 @@ from .bell import (
     bell_function_operator,
     bell_function_vs_p,
     eta_for_degree,
-    optimal_p_scan,
+    p_argmax,
+    p_grid,
     preset_config,
     violation_threshold,
 )
@@ -79,6 +79,8 @@ def parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:step, got {text!r}")
     start, stop, step = (float(part) for part in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid spec must be finite, got {text!r}")
     if step <= 0.0:
         raise ValueError("grid step must be positive")
     if stop < start:
@@ -130,12 +132,10 @@ def _write_keyvalue(path: str, items) -> None:
 
 def write_manifest(args, params: dict, results: dict | None = None) -> str:
     """Write the run manifest next to the output file and return its path."""
-    lines = [
-        f"command = {args.command}",
-        f"version = {__version__}",
-        f"seed = {args.seed}",
-        f"n_max = {args.n_max}",
-    ]
+    lines = [f"command = {args.command}", f"version = {__version__}"]
+    if "seed" in args:
+        lines.append(f"seed = {args.seed}")
+    lines.append(f"n_max = {args.n_max}")
     for key in sorted(params):
         lines.append(f"param.{key} = {_format_param(params[key])}")
     lines.append(f"output = {args.out}")
@@ -146,15 +146,7 @@ def write_manifest(args, params: dict, results: dict | None = None) -> str:
     return path
 
 
-def _require_format(args, natural: str) -> None:
-    if args.format is not None and args.format != natural:
-        raise ValueError(
-            f"{args.command} writes {natural} output; --format {args.format} is not supported"
-        )
-
-
 def cmd_scan(args) -> int:
-    _require_format(args, "csv")
     grid = parse_grid(args.grid)
     if grid[0] < -1e-9 or grid[-1] > 1.0 + 1e-9:
         raise ValueError("G grid must lie within [0, 1]")
@@ -171,12 +163,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_pscan(args) -> int:
-    _require_format(args, "csv")
     angles = angle_preset(args.preset, args.theta, eta_sign=1.0 if args.eta >= 0 else -1.0)
-    p_star = optimal_p_scan(args.theta, args.eta, angles, step=args.step)
-    count = round(1.0 / args.step)
-    ps = np.linspace(0.0, 1.0, count + 1)
+    ps = p_grid(args.step)
     values = bell_function_vs_p(args.theta, args.eta, angles, ps)
+    p_star = p_argmax(ps, values)
     _write_csv(args.out, "p,s_b", zip(ps, values))
     write_manifest(
         args,
@@ -189,7 +179,6 @@ def cmd_pscan(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    _require_format(args, "keyvalue")
     params = EntangledGbsParams(
         p1=args.p1, p2=args.p2, theta1=args.theta1, theta2=args.theta2, eta=args.eta
     )
@@ -228,7 +217,6 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _require_format(args, "keyvalue")
     if args.shots < 100:
         raise ValueError("shots must be at least 100")
     config = preset_config(args.preset, args.eta, p=args.p, theta=args.theta)
@@ -237,7 +225,6 @@ def cmd_simulate(args) -> int:
         shots=args.shots,
         seed=args.seed,
         detector_efficiency=args.alpha,
-        fair_sampling=True,
         n_max=args.n_max,
     )
     estimate = run_bell_experiment(experiment)
@@ -289,7 +276,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _require_format(args, "keyvalue")
+    params = EntangledGbsParams(
+        p1=args.p1, p2=args.p2, theta1=args.theta1, theta2=args.theta2, eta=args.eta
+    )
     result = generate_entangled_gbs(
         InitialAtomPair(args.eta),
         args.p1,
@@ -298,12 +287,7 @@ def cmd_generate(args) -> int:
         args.theta2,
         n_max=args.n_max,
     )
-    target = entangled_gbs_state(
-        EntangledGbsParams(
-            p1=args.p1, p2=args.p2, theta1=args.theta1, theta2=args.theta2, eta=args.eta
-        ),
-        args.n_max,
-    )
+    target = entangled_gbs_state(params, args.n_max)
     fid = fidelity(result.field, target)
     probs = result.atom_probabilities
     items = [
@@ -335,10 +319,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    _require_format(args, "csv")
     epsilons = parse_value_list(args.epsilons)
     config = preset_config(args.preset, args.eta, p=args.p, theta=args.theta)
-    experiment = ExperimentConfig(bell=config, shots=1, seed=args.seed, n_max=args.n_max)
+    # The sweep draws no random numbers; shots and seed only fill the config.
+    experiment = ExperimentConfig(bell=config, shots=1, seed=0, n_max=args.n_max)
     rows = timing_sensitivity(experiment, epsilons)
     _write_csv(
         args.out, "epsilon,fidelity,s_b", ((r.epsilon, r.fidelity, r.s_b) for r in rows)
@@ -363,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entangled two-cavity Bernoulli states: Bell scans and protocol simulation.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=12345, help="random seed (default 12345)")
     common.add_argument(
         "--n-max",
         type=int,
@@ -372,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"Fock-space cutoff (default {DEFAULT_N_MAX})",
     )
     common.add_argument("--out", required=True, help="output file path")
-    common.add_argument(
-        "--format",
-        choices=("csv", "keyvalue"),
-        default=None,
-        help="output format; each command has exactly one natural format",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser(
@@ -413,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--p", type=float, default=0.5)
     simulate.add_argument("--theta", type=parse_angle, default=0.0)
     simulate.add_argument("--shots", type=int, default=10000, help="shots per setting (min 100)")
+    simulate.add_argument("--seed", type=int, default=12345, help="random seed (default 12345)")
     simulate.add_argument(
         "--alpha", type=float, default=1.0, help="detector efficiency in [0, 1]"
     )
@@ -451,6 +429,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

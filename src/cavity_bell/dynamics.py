@@ -30,15 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bell import BellConfig, DichotomicParams
-from .fields import EntangledGbsParams, entangled_gbs_state
-from .fock import (
-    DEFAULT_N_MAX,
-    RandomStream,
-    StateVector,
-    TwoCavityState,
-    _unit_amplitudes,
-)
+from .bell import BellConfig, chsh
+from .binomial import GbsParams
+from .fields import entangled_gbs_state, norm_const
+from .fock import DEFAULT_N_MAX, RandomStream, StateVector, TwoCavityState
 
 ATOM_DOWN = 0
 ATOM_UP = 1
@@ -52,82 +47,29 @@ PROBE_PULSE_AREA = math.pi / 2.0
 ALPHA_THRESHOLD = 2.0 / (math.sqrt(2.0) + 1.0)
 
 
-@dataclass(frozen=True)
-class AtomFieldState:
-    """Joint pure state of one two-level atom and one cavity mode.
-
-    amplitudes[a, n] with atom index a (0 = down, 1 = up) and photon
-    number n.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = _unit_amplitudes(self.amplitudes, 2)
-        if amps.shape[0] != 2 or amps.shape[1] < 2:
-            raise ValueError("expected shape (2, n_max + 1) with n_max >= 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n_max(self) -> int:
-        return self.amplitudes.shape[1] - 1
-
-    @classmethod
-    def from_field(cls, field: StateVector, atom: int = ATOM_DOWN) -> "AtomFieldState":
-        if atom not in (ATOM_DOWN, ATOM_UP):
-            raise ValueError(f"atom index must be 0 (down) or 1 (up), got {atom!r}")
-        amps = np.zeros((2, field.n_max + 1), dtype=complex)
-        amps[atom] = field.amplitudes
-        return cls(amps)
-
-
-@dataclass(frozen=True)
-class RamseyParams:
-    """Rotation angle theta in [0, pi] and field phase phi of a Ramsey zone."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-
-
-@lru_cache(maxsize=128)
-def _jc_matrix(gt: float, n_max: int) -> np.ndarray:
-    """Unitary of a resonant pulse of area gt, flattened over (atom, photon).
-
-    The uppermost excited level |up, n_max> has no partner inside the
-    cutoff; its column is left as identity and jc_evolve refuses states
-    that populate it.
-    """
-    dim = 2 * (n_max + 1)
-    mat = np.zeros((dim, dim), dtype=complex)
-
-    def idx(atom: int, n: int) -> int:
-        return atom * (n_max + 1) + n
-
-    for n in range(n_max + 1):
-        angle = gt * math.sqrt(n)
-        mat[idx(ATOM_DOWN, n), idx(ATOM_DOWN, n)] = math.cos(angle)
-        if n >= 1:
-            mat[idx(ATOM_UP, n - 1), idx(ATOM_DOWN, n)] = math.sin(angle)
-        if n < n_max:
-            angle = gt * math.sqrt(n + 1)
-            mat[idx(ATOM_UP, n), idx(ATOM_UP, n)] = math.cos(angle)
-            mat[idx(ATOM_DOWN, n + 1), idx(ATOM_UP, n)] = -math.sin(angle)
-        else:
-            mat[idx(ATOM_UP, n), idx(ATOM_UP, n)] = 1.0
-    mat.setflags(write=False)
-    return mat
-
-
 @lru_cache(maxsize=128)
 def _jc_tensor(gt: float, n_max: int) -> np.ndarray:
+    """Unitary of a resonant pulse of area gt as u[atom_out, n_out, atom_in, n_in].
+
+    The uppermost excited level |up, n_max> has no partner inside the
+    cutoff and is left unchanged. No caller populates it: generation starts
+    from the vacuum and probe_measure refuses fields above one photon.
+    """
     d = n_max + 1
-    tens = _jc_matrix(gt, n_max).reshape(2, d, 2, d).copy()
-    tens.setflags(write=False)
-    return tens
+    u = np.zeros((2, d, 2, d), dtype=complex)
+    for n in range(d):
+        angle = gt * math.sqrt(n)
+        u[ATOM_DOWN, n, ATOM_DOWN, n] = math.cos(angle)
+        if n >= 1:
+            u[ATOM_UP, n - 1, ATOM_DOWN, n] = math.sin(angle)
+        if n < n_max:
+            angle = gt * math.sqrt(n + 1)
+            u[ATOM_UP, n, ATOM_UP, n] = math.cos(angle)
+            u[ATOM_DOWN, n + 1, ATOM_UP, n] = -math.sin(angle)
+        else:
+            u[ATOM_UP, n, ATOM_UP, n] = 1.0
+    u.setflags(write=False)
+    return u
 
 
 def _ramsey_matrix(theta: float, phi: float) -> np.ndarray:
@@ -138,28 +80,13 @@ def _ramsey_matrix(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def jc_evolve(state: AtomFieldState, gt: float) -> AtomFieldState:
-    """Resonant Jaynes-Cummings pulse of area gt on an atom-cavity pair."""
-    if abs(state.amplitudes[ATOM_UP, state.n_max]) > 1e-12:
-        raise ValueError(
-            "state populates |up, n_max>; raise n_max so the pulse cannot leak"
-        )
-    flat = _jc_matrix(float(gt), state.n_max) @ state.amplitudes.ravel()
-    return AtomFieldState(flat.reshape(2, state.n_max + 1))
-
-
-def ramsey_rotate(state: AtomFieldState, params: RamseyParams) -> AtomFieldState:
-    """Classical Ramsey rotation of the atomic part; the field is untouched."""
-    return AtomFieldState(_ramsey_matrix(params.theta, params.phi) @ state.amplitudes)
-
-
 def _mixing_angle(p: float) -> float:
     # cos(theta/2) = sqrt(p) picks the rotation that maps the Bernoulli
     # basis pair onto the bare atomic states.
     return 2.0 * math.acos(math.sqrt(min(max(p, 0.0), 1.0)))
 
 
-def probe_measure(field: StateVector, d: DichotomicParams, rng: RandomStream):
+def probe_measure(field: StateVector, d: GbsParams, rng: RandomStream):
     """Measure the dichotomic observable F_p(phi) with a probe atom.
 
     A ground-state atom crosses the cavity for a half Rabi cycle, which
@@ -173,13 +100,13 @@ def probe_measure(field: StateVector, d: DichotomicParams, rng: RandomStream):
     tail = float(np.linalg.norm(field.amplitudes[2:]))
     if tail > 1e-10:
         raise ValueError(f"field has weight {tail**2:.3e} above one photon")
-    state = AtomFieldState.from_field(field, ATOM_DOWN)
-    state = jc_evolve(state, PROBE_PULSE_AREA)
-    state = ramsey_rotate(state, RamseyParams(_mixing_angle(d.p), -d.phi))
-    p_up = float(np.sum(np.abs(state.amplitudes[ATOM_UP]) ** 2))
+    state = np.zeros((2, field.n_max + 1), dtype=complex)  # (atom, photon)
+    state[ATOM_DOWN] = field.amplitudes
+    state = _apply_atom_field(state, _jc_tensor(PROBE_PULSE_AREA, field.n_max), 0, 1)
+    state = _apply_single_axis(state, _ramsey_matrix(_mixing_angle(d.p), -d.phi), 0)
+    p_up = float(np.sum(np.abs(state[ATOM_UP]) ** 2))
     got_up = rng.uniform() < p_up
-    branch = state.amplitudes[ATOM_UP if got_up else ATOM_DOWN]
-    post_field = StateVector.normalized(branch)
+    post_field = StateVector.normalized(state[ATOM_UP if got_up else ATOM_DOWN])
     return (1 if got_up else -1), post_field
 
 
@@ -188,10 +115,6 @@ class InitialAtomPair:
     """Entangled atom pair (|up down> + eta |down up>) / sqrt(1 + eta^2)."""
 
     eta: float
-
-    @property
-    def norm_const(self) -> float:
-        return 1.0 / math.sqrt(1.0 + self.eta**2)
 
 
 @dataclass(frozen=True)
@@ -243,8 +166,9 @@ def _generation_joint(
     d = n_max + 1
     state = np.zeros((2, 2, d, d), dtype=complex)
     rel = cmath.exp(1j * (theta2 - theta1)) if phase_referenced else 1.0
-    state[ATOM_UP, ATOM_DOWN, 0, 0] = pair.norm_const
-    state[ATOM_DOWN, ATOM_UP, 0, 0] = pair.norm_const * pair.eta * rel
+    norm = norm_const(pair.eta)
+    state[ATOM_UP, ATOM_DOWN, 0, 0] = norm
+    state[ATOM_DOWN, ATOM_UP, 0, 0] = norm * pair.eta * rel
     state = _apply_single_axis(state, _ramsey_matrix(_mixing_angle(p1), -theta1), 0)
     state = _apply_single_axis(state, _ramsey_matrix(_mixing_angle(p2), -theta2), 1)
     u4 = _jc_tensor(float(gt), n_max)
@@ -288,7 +212,6 @@ class ExperimentConfig:
     shots: int
     seed: int
     detector_efficiency: float = 1.0
-    fair_sampling: bool = True
     n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
@@ -296,10 +219,8 @@ class ExperimentConfig:
             raise ValueError("shots must be at least 1")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in [0, 1]")
-        if self.detector_efficiency < 1.0 and not self.fair_sampling:
-            raise ValueError(
-                "lossy detectors are implemented only with fair-sampling conditioning"
-            )
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max!r}")
 
 
 @dataclass(frozen=True)
@@ -381,18 +302,12 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
         phase_referenced=True,
         n_max=cfg.n_max,
     )
-    settings = (
-        (bell_cfg.phi1, bell_cfg.phi2),
-        (bell_cfg.phi1, bell_cfg.phi2_prime),
-        (bell_cfg.phi1_prime, bell_cfg.phi2),
-        (bell_cfg.phi1_prime, bell_cfg.phi2_prime),
-    )
     alpha = cfg.detector_efficiency
     master = RandomStream(cfg.seed)
     products = np.array([1.0, -1.0, -1.0, 1.0])  # (down,down), (down,up), (up,down), (up,up)
     estimates = []
     discarded = 0
-    for index, (phi_a, phi_b) in enumerate(settings):
+    for index, (phi_a, phi_b) in enumerate(bell_cfg.settings):
         probs = _probe_outcome_probabilities(joint, bell_cfg.p, phi_a, phi_b, PROBE_PULSE_AREA)
         flat = np.clip(probs.ravel(), 0.0, None)
         cumulative = np.cumsum(flat / flat.sum())
@@ -417,8 +332,7 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
                 retained=retained,
             )
         )
-    c11, c12, c21, c22 = (e.correlation for e in estimates)
-    s_b_hat = abs(c11 - c12) + abs(c21 + c22)
+    s_b_hat = chsh(*(e.correlation for e in estimates))
     std_error = math.sqrt(sum(e.std_error**2 for e in estimates))
     return BellEstimate(
         s_b_hat=s_b_hat,
@@ -480,24 +394,11 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> list[Sensitivi
     epsilon -> -epsilon.
     """
     bell_cfg = cfg.bell
-    target = entangled_gbs_state(
-        EntangledGbsParams(
-            p1=bell_cfg.p, p2=bell_cfg.p,
-            theta1=bell_cfg.theta, theta2=bell_cfg.theta,
-            eta=bell_cfg.eta,
-        ),
-        cfg.n_max,
-    )
-    settings = (
-        (bell_cfg.phi1, bell_cfg.phi2),
-        (bell_cfg.phi1, bell_cfg.phi2_prime),
-        (bell_cfg.phi1_prime, bell_cfg.phi2),
-        (bell_cfg.phi1_prime, bell_cfg.phi2_prime),
-    )
+    target = entangled_gbs_state(bell_cfg.state_params, cfg.n_max)
     rows = []
     for epsilon in relative_errors:
         eps = float(epsilon)
-        if abs(eps) >= 0.5:
+        if not abs(eps) < 0.5:
             raise ValueError(f"relative timing error {eps!r} outside (-0.5, 0.5)")
         gt = PROBE_PULSE_AREA * (1.0 + eps)
         joint = _generation_joint(
@@ -516,8 +417,8 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> list[Sensitivi
             _correlation_from_probs(
                 _probe_outcome_probabilities(joint, bell_cfg.p, phi_a, phi_b, gt)
             )
-            for phi_a, phi_b in settings
+            for phi_a, phi_b in bell_cfg.settings
         ]
-        s_b = abs(corr[0] - corr[1]) + abs(corr[2] + corr[3])
+        s_b = chsh(*corr)
         rows.append(SensitivityRow(epsilon=eps, fidelity=fid, s_b=s_b))
     return rows

@@ -34,8 +34,8 @@ from .fock import (
 class EntangledGbsParams:
     """Parameters (p1, p2, theta1, theta2, eta) of the two-cavity state.
 
-    eta is any real number, including negative values; only eta^2 enters
-    the normalization.
+    eta is any finite real number, including negative values; only eta^2
+    enters the normalization.
     """
 
     p1: float
@@ -45,14 +45,17 @@ class EntangledGbsParams:
     eta: float
 
     def __post_init__(self):
-        for name in ("p1", "p2"):
+        for name in ("p1", "p2", "theta1", "theta2", "eta"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if name in ("p1", "p2") and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
-    @property
-    def norm_const(self) -> float:
-        return 1.0 / math.sqrt(1.0 + self.eta**2)
+
+def norm_const(eta: float) -> float:
+    """1/sqrt(1 + eta^2), the norm of a two-branch superposition with weight eta."""
+    return 1.0 / math.sqrt(1.0 + eta**2)
 
 
 def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> TwoCavityState:
@@ -61,7 +64,7 @@ def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) 
     g2 = GbsParams(params.p2, params.theta2)
     branch1 = tensor(gbs_state(g1, n_max), gbs_state(orthogonal_partner(g2), n_max))
     branch2 = tensor(gbs_state(orthogonal_partner(g1), n_max), gbs_state(g2, n_max))
-    amps = params.norm_const * (branch1.amplitudes + params.eta * branch2.amplitudes)
+    amps = norm_const(params.eta) * (branch1.amplitudes + params.eta * branch2.amplitudes)
     return TwoCavityState(amps)
 
 

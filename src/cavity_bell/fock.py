@@ -1,10 +1,10 @@
 """Truncated Fock-space kernel for two-cavity field simulations.
 
 Small dense complex linear algebra: single-mode state vectors, joint states
-of two cavities, field operators, expectation values, Born-rule sampling and
-a counter-based random stream for reproducible Monte Carlo. All states and
-operators are immutable after construction, so everything here behaves as a
-pure function.
+of two cavities, field operators, expectation values and a counter-based
+random stream for reproducible Monte Carlo. All states and operators are
+immutable after construction, so everything here behaves as a pure
+function.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 DEFAULT_N_MAX = 2
 
 NORM_TOL = 1e-12   # analytic identities (norms, hermiticity)
-SPAN_TOL = 1e-10   # subspace membership checks
 
 
 def _unit_amplitudes(values, ndim: int) -> np.ndarray:
@@ -27,7 +26,7 @@ def _unit_amplitudes(values, ndim: int) -> np.ndarray:
     if amps.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional amplitude array")
     norm2 = float(np.vdot(amps, amps).real)
-    if abs(norm2 - 1.0) > NORM_TOL:
+    if not abs(norm2 - 1.0) <= NORM_TOL:  # also refuses NaN amplitudes
         raise ValueError(f"amplitudes are not normalized: |psi|^2 = {norm2!r}")
     amps.setflags(write=False)
     return amps
@@ -87,14 +86,6 @@ class TwoCavityState:
     @property
     def n_max(self) -> int:
         return self.amplitudes.shape[0] - 1
-
-    @classmethod
-    def normalized(cls, amplitudes) -> "TwoCavityState":
-        amps = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return cls(amps / norm)
 
     @classmethod
     def fock(cls, m: int, n: int, n_max: int = DEFAULT_N_MAX) -> "TwoCavityState":
@@ -194,28 +185,6 @@ def expectation(op: FieldOperator, state) -> complex:
     if op.dim != flat.size:
         raise ValueError(f"operator dimension {op.dim} does not match state dimension {flat.size}")
     return complex(np.vdot(flat, op.matrix @ flat))
-
-
-def born_sample(state: StateVector, basis, rng: "RandomStream"):
-    """Projective measurement of ``state`` in a two-element orthonormal basis.
-
-    Returns (index, collapsed) where index selects basis[0] or basis[1].
-    The state must lie in the span of the basis pair up to SPAN_TOL;
-    anything outside that span would mean the measurement model does not
-    apply, so it is reported as an error instead of being renormalized away.
-    """
-    b0, b1 = basis
-    if b0.n_max != state.n_max or b1.n_max != state.n_max:
-        raise ValueError("basis and state dimensions differ")
-    if abs(inner(b0, b1)) > SPAN_TOL:
-        raise ValueError("measurement basis is not orthogonal")
-    w0 = abs(inner(b0, state)) ** 2
-    w1 = abs(inner(b1, state)) ** 2
-    leak = 1.0 - w0 - w1
-    if leak > SPAN_TOL:
-        raise ValueError(f"state has weight {leak:.3e} outside the measurement span")
-    index = 0 if rng.uniform() * (w0 + w1) < w0 else 1
-    return index, (b0 if index == 0 else b1)
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,10 +1,11 @@
 """Command-line interface: parsing, file formats, manifests, exit codes."""
 
+import hashlib
 import math
 
-import numpy as np
 import pytest
 
+from cavity_bell import cli
 from cavity_bell.cli import fmt, main, parse_angle, parse_grid, parse_value_list
 
 
@@ -66,7 +67,7 @@ def test_scan_rows_and_manifest(tmp_path):
     manifest = keyvalues(read(tmp_path / "scan.csv.manifest"))
     assert manifest["command"] == "scan"
     assert manifest["param.preset"] == "maximal"
-    assert manifest["seed"] == "12345"
+    assert "seed" not in manifest  # scan draws no random numbers
     assert manifest["output"] == str(out)
 
 
@@ -165,6 +166,7 @@ def test_simulate_report_and_reproducibility(tmp_path):
     assert float(report["setting.1.correlation"]) < 0
     assert report["setting.4.retained"] == "2000"
     manifest = keyvalues(read(tmp_path / "a.txt.manifest"))
+    assert manifest["seed"] == "42"
     assert manifest["result.s_b_hat"] == report["s_b_hat"]
 
 
@@ -195,17 +197,70 @@ def test_sensitivity_table(tmp_path):
     assert rows[0][2] == rows[2][2]
 
 
-def test_error_exit_codes(tmp_path):
-    out = str(tmp_path / "x")
-    assert main(["simulate", "maximal", "--shots", "50", "--out", out]) == 1
-    assert main(["scan", "maximal", "--grid", "0:2:0.5", "--out", out]) == 1
-    assert main(["scan", "maximal", "--grid", "0:1:0.5", "--format", "keyvalue",
-                 "--out", out]) == 1
-    assert main(["pscan", "maximal", "--step", "0.3", "--out", out]) == 1
+def test_error_exit_codes(tmp_path, capsys):
+    out = tmp_path / "x"
+    failing = [
+        ["simulate", "maximal", "--shots", "50"],
+        ["simulate", "maximal", "--n-max", "0"],
+        ["scan", "maximal", "--grid", "0:2:0.5"],
+        ["pscan", "maximal", "--step", "0.3"],
+        # non-finite inputs must fail instead of writing NaN or made-up rows
+        ["simulate", "maximal", "--theta", "nan"],
+        ["simulate", "maximal", "--eta", "inf"],
+        ["scan", "maximal", "--theta", "nan"],
+        ["sensitivity", "maximal", "--epsilons", "nan"],
+        ["generate", "--theta1", "nan"],
+        ["pscan", "maximal", "--eta", "nan"],
+        ["pscan", "maximal", "--step", "inf"],
+        ["scan", "maximal", "--grid", "0:inf:0.1"],
+        ["sensitivity", "maximal", "--epsilons=0:inf:0.1"],
+    ]
+    for argv in failing:
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
     with pytest.raises(SystemExit):
-        main(["scan", "unknown-preset", "--out", out])
+        main(["scan", "unknown-preset", "--out", str(out)])
     with pytest.raises(SystemExit):
         main(["scan", "maximal"])  # --out is required
+    with pytest.raises(SystemExit):
+        main(["scan", "maximal", "--seed", "1", "--out", str(out)])  # seed is simulate-only
+
+
+def test_memory_error_is_reported(tmp_path, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 385. GiB")
+
+    monkeypatch.setattr(cli, "cmd_scan", exhausted)
+    assert main(["scan", "maximal", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 385. GiB\n"
+
+
+# sha256 of small deterministic runs. The deterministic commands promise
+# byte-identical output, so a refactor must leave these digests unchanged.
+GOLDEN = {
+    "scan": (["scan", "wide", "--grid", "0:1:0.1", "--theta", "0.3pi"],
+             "f6879d07c0af6e47b6475e941c88ad2c2c22bf49aef7f12dcb949553d927bed9"),
+    "pscan": (["pscan", "maximal", "--eta", "0.7", "--theta", "0.4", "--step", "0.01"],
+              "eb907adae2a4529c18ef9afd3491bca9ef732dd259d46f28caa39b636ea1edf7"),
+    "covariance": (["covariance", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
+                    "--theta2=-0.3pi", "--eta=-0.7"],
+                   "0de31a34bf78ac8a8151c98c8178af5a6e9721b97d9caf90c24e5d9caa86e102"),
+    "generate": (["generate", "--eta=-1.5", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
+                  "--theta2=-0.3pi"],
+                 "08e67cfb30cfc79ded90d1a6340a51043863beab95ee667f2f3ca1c364f4bea0"),
+    "sensitivity": (["sensitivity", "maximal", "--eta", "0.8", "--epsilons=-0.05:0.05:0.01"],
+                    "cdba17be88c45285b1aef2d496b5a4da1b56197b4dc590c9b55343b79c639667"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_deterministic_outputs_are_golden(tmp_path, command):
+    argv, digest = GOLDEN[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_manifest_reruns_are_byte_identical(tmp_path):

@@ -1,4 +1,4 @@
-"""Kernel checks: states, operators, sampling, seeded streams."""
+"""Kernel checks: states, operators, seeded streams."""
 
 import math
 
@@ -11,7 +11,6 @@ from cavity_bell.fock import (
     StateVector,
     TwoCavityState,
     annihilation,
-    born_sample,
     creation,
     expectation,
     fidelity,
@@ -102,42 +101,6 @@ def test_inner_and_fidelity():
     assert math.isclose(fidelity(sa, sb), 0.5, abs_tol=1e-14)
     with pytest.raises(TypeError):
         inner(sa, tensor(sb, sb))
-
-
-def test_born_sample_deterministic_on_basis_states():
-    b0 = StateVector.fock(0, n_max=2)
-    b1 = StateVector.fock(1, n_max=2)
-    rng = RandomStream(4)
-    for i in range(20):
-        index, post = born_sample(b0, (b0, b1), rng.substream(i))
-        assert index == 0
-        assert post is b0
-        index, post = born_sample(b1, (b0, b1), rng.substream(100 + i))
-        assert index == 1
-
-
-def test_born_sample_distribution():
-    b0 = StateVector.fock(0, n_max=1)
-    b1 = StateVector.fock(1, n_max=1)
-    state = StateVector.normalized(np.array([math.sqrt(0.3), math.sqrt(0.7)]))
-    rng = RandomStream(21)
-    n = 20000
-    ones = sum(born_sample(state, (b0, b1), rng.substream(i))[0] for i in range(n))
-    se = math.sqrt(0.7 * 0.3 / n)
-    assert abs(ones / n - 0.7) < 4 * se
-
-
-def test_born_sample_rejects_bad_basis():
-    b0 = StateVector.fock(0, n_max=1)
-    tilted = StateVector.normalized(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        born_sample(b0, (b0, tilted), RandomStream(0))
-    # basis must span the state
-    b1 = StateVector.fock(1, n_max=2)
-    b2 = StateVector.fock(2, n_max=2)
-    outside = StateVector.fock(0, n_max=2)
-    with pytest.raises(ValueError):
-        born_sample(outside, (b1, b2), RandomStream(0))
 
 
 def test_random_stream_reproducible():
