@@ -26,15 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binomial import GbsParams, gbs_state, orthogonal_partner
-from .fields import EntangledGbsParams, entangled_gbs_state
-from .fock import (
-    DEFAULT_N_MAX,
-    FieldOperator,
-    StateVector,
-    TwoCavityState,
-    expectation,
-    joint,
-)
+from .fields import EntangledGbsParams, entangled_branches, entangled_gbs_state, norm_const
+from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, StateVector, pair_expectation
 
 PRESETS = ("maximal", "wide")
 
@@ -43,6 +36,15 @@ G_MIN_MAXIMAL = math.sqrt(2.0) - 1.0
 G_MIN_WIDE = 1.0 / 3.0
 
 _DEGENERATE_TOL = 1e-12
+
+#: Largest number of points a p grid or a command-line grid may have; a grid
+#: is refused before anything is allocated for it.
+MAX_GRID_POINTS = 10**7
+
+#: Complex amplitudes per block of a batched evaluation (64 KiB). A block
+#: takes as many grid points as fit, and at least one, so the working arrays
+#: stay this small for any grid length and cutoff.
+BLOCK_AMPLITUDES = 2**12
 
 
 #: A measurement setting (p, phi) selects the Bernoulli basis pair, so it is
@@ -110,6 +112,15 @@ class BellConfig:
         )
 
 
+def blocks(count: int, row_size: int):
+    """Slices that cover range(count) in blocks of about BLOCK_AMPLITUDES.
+
+    row_size is the number of amplitudes one grid point needs.
+    """
+    rows = max(1, BLOCK_AMPLITUDES // row_size)
+    return (slice(start, start + rows) for start in range(0, count, rows))
+
+
 def chsh(c11: float, c12: float, c21: float, c22: float) -> float:
     """CHSH combination |C11 - C12| + |C21 + C22| of the four correlations."""
     return abs(c11 - c12) + abs(c21 + c22)
@@ -173,18 +184,23 @@ def degree_of_entanglement(eta: float) -> float:
     return 2.0 * abs(eta) / (1.0 + eta**2)
 
 
-def eta_for_degree(g: float) -> float:
+def _require_degree(g) -> None:
+    degrees = np.asarray(g)
+    if not np.all((degrees >= 0.0) & (degrees <= 1.0)):  # also refuses NaN
+        raise ValueError(f"degree of entanglement must lie in [0, 1], got {g!r}")
+
+
+def eta_for_degree(g):
     """The weight eta in [0, 1] realizing a given degree of entanglement.
 
     Inverts G = 2 eta/(1+eta^2) choosing the root with |eta| <= 1; the
     other root is its reciprocal and describes the same amount of
-    entanglement.
+    entanglement. g may be a float or an array; G = 0 gives eta = 0.
     """
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"degree of entanglement must lie in [0, 1], got {g!r}")
-    if g == 0.0:
-        return 0.0
-    return (1.0 - math.sqrt(1.0 - g * g)) / g
+    _require_degree(g)
+    degrees = np.asarray(g, dtype=float)
+    eta = (1.0 - np.sqrt(1.0 - degrees * degrees)) / np.where(degrees == 0.0, 1.0, degrees)
+    return eta if eta.ndim else float(eta)
 
 
 def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
@@ -197,9 +213,14 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
 
     with a_j the angle relative to theta and s_j = sin(a_j / 2).
     """
-    p, eta = config.p, config.eta
-    a1 = phi_a - config.theta
-    a2 = phi_b - config.theta
+    return _correlation(config.p, config.theta, config.eta, phi_a, phi_b)
+
+
+def _correlation(p, theta: float, eta: float, phi_a: float, phi_b: float):
+    # The closed form of bell_correlation; p may be an array of values,
+    # everything else is a float.
+    a1 = phi_a - theta
+    a2 = phi_b - theta
     s1 = math.sin(0.5 * a1) ** 2
     s2 = math.sin(0.5 * a2) ** 2
     k = 8.0 * p * (1.0 - p)
@@ -213,18 +234,27 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
     return -1.0 + k * bracket
 
 
-def dichotomic_pair_expectation(state: TwoCavityState, d1: GbsParams, d2: GbsParams) -> float:
-    """Operator-oracle correlation of F_{d1} x F_{d2} on an arbitrary joint state."""
-    op = joint(dichotomic_operator(d1, state.n_max), dichotomic_operator(d2, state.n_max))
-    return expectation(op, state).real
+def dichotomic_pair_expectation(amplitudes, d1: GbsParams, d2: GbsParams) -> np.ndarray:
+    """Operator-oracle correlation of F_{d1} x F_{d2} on arbitrary joint states.
+
+    ``amplitudes`` is one joint amplitude matrix or a stack (..., d, d) of
+    them; the result holds one real correlation per matrix.
+    """
+    n_max = np.shape(amplitudes)[-1] - 1
+    ops = dichotomic_operator(d1, n_max), dichotomic_operator(d2, n_max)
+    return pair_expectation(*ops, amplitudes).real
 
 
 def bell_correlation_operator(
     config: BellConfig, phi_a: float, phi_b: float, n_max: int = DEFAULT_N_MAX
 ) -> float:
-    """Correlation computed by building the state and the tensored operators."""
+    """Correlation computed by building the state and applying both observables."""
     state = entangled_gbs_state(config.state_params, n_max)
-    return dichotomic_pair_expectation(state, GbsParams(config.p, phi_a), GbsParams(config.p, phi_b))
+    return float(
+        dichotomic_pair_expectation(
+            state.amplitudes, GbsParams(config.p, phi_a), GbsParams(config.p, phi_b)
+        )
+    )
 
 
 def bell_function(config: BellConfig) -> float:
@@ -234,12 +264,45 @@ def bell_function(config: BellConfig) -> float:
 
 def bell_function_operator(config: BellConfig, n_max: int = DEFAULT_N_MAX) -> float:
     """S_B with every correlation taken from the operator oracle."""
-    state = entangled_gbs_state(config.state_params, n_max)
-    correlations = [
-        dichotomic_pair_expectation(state, GbsParams(config.p, phi_a), GbsParams(config.p, phi_b))
-        for phi_a, phi_b in config.settings
-    ]
-    return chsh(*correlations)
+    angles = (config.phi1, config.phi2, config.phi1_prime, config.phi2_prime)
+    (s_b,) = bell_function_operator_vs_eta(config.p, config.theta, angles, [config.eta], n_max)
+    return float(s_b)
+
+
+def bell_function_operator_vs_eta(
+    p: float,
+    theta: float,
+    angles: tuple[float, float, float, float],
+    etas,
+    n_max: int = DEFAULT_N_MAX,
+) -> np.ndarray:
+    """Operator-oracle S_B over a vector of weights eta at fixed p, theta and angles.
+
+    Only eta varies along the vector, so the two branch products are built
+    once and each block of weights becomes one (block, d, d) amplitude
+    stack. Every correlation of a block is then one stacked contraction
+    with the two single-cavity observables; the d^2 x d^2 joint operator
+    is never formed.
+    """
+    etas = np.asarray(etas, dtype=float)
+    config = BellConfig(p, theta, 0.0, *angles)  # checks p, theta and the angles
+    if not np.all(np.isfinite(etas)):
+        raise ValueError("eta must be finite")
+    branch1, branch2 = entangled_branches(config.state_params, n_max)
+    out = np.empty(etas.size)
+    for block in blocks(etas.size, branch1.size):
+        eta = etas[block, None, None]
+        amplitudes = norm_const(eta) * (branch1 + eta * branch2)
+        norms = np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
+        if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
+            raise ValueError("entangled state is not normalized")
+        out[block] = chsh(
+            *(
+                dichotomic_pair_expectation(amplitudes, GbsParams(p, phi_a), GbsParams(p, phi_b))
+                for phi_a, phi_b in config.settings
+            )
+        )
+    return out
 
 
 def bell_function_at_half(config: BellConfig) -> float:
@@ -282,10 +345,9 @@ def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[
     raise ValueError(f"unknown preset {kind!r}; choose from {PRESETS}")
 
 
-def analytic_s_b(kind: str, g: float) -> float:
-    """Preset Bell value as a function of the degree of entanglement."""
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"degree of entanglement must lie in [0, 1], got {g!r}")
+def analytic_s_b(kind: str, g):
+    """Preset Bell value as a function of the degree of entanglement (a float or an array)."""
+    _require_degree(g)
     if kind == "maximal":
         return math.sqrt(2.0) * (1.0 + g)
     if kind == "wide":
@@ -313,22 +375,24 @@ def preset_config(kind: str, eta: float, p: float = 0.5, theta: float = 0.0) -> 
 def bell_function_vs_p(
     theta: float, eta: float, angles: tuple[float, float, float, float], p_values
 ) -> np.ndarray:
-    """S_B evaluated over a vector of p values at fixed angles."""
-    out = np.empty(len(p_values))
-    phi1, phi2, phi1p, phi2p = angles
-    for i, p in enumerate(p_values):
-        config = BellConfig(
-            p=float(p), theta=theta, eta=eta,
-            phi1=phi1, phi2=phi2, phi1_prime=phi1p, phi2_prime=phi2p,
-        )
-        out[i] = bell_function(config)
-    return out
+    """S_B evaluated over a vector of p values at fixed angles.
+
+    The closed form of bell_correlation runs once per setting on the whole
+    vector; the angle terms do not depend on p and stay scalars.
+    """
+    ps = np.asarray(p_values, dtype=float)
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):  # also refuses NaN
+        raise ValueError("p must lie in [0, 1] at every grid point")
+    config = BellConfig(0.5, theta, eta, *angles)  # checks theta, eta and the angles
+    return chsh(*(_correlation(ps, theta, eta, phi_a, phi_b) for phi_a, phi_b in config.settings))
 
 
 def p_grid(step: float) -> np.ndarray:
     """The grid 0, step, ..., 1 over p; the step must divide the unit interval."""
     if not step > 0.0:
         raise ValueError("step must be positive")
+    if not 1.0 / step + 1.0 <= MAX_GRID_POINTS:
+        raise ValueError(f"step {step!r} gives more than {MAX_GRID_POINTS} grid points")
     count = round(1.0 / step)
     if not abs(count * step - 1.0) <= 1e-9:  # also refuses an infinite step
         raise ValueError(f"step {step!r} does not divide [0, 1]")
@@ -342,9 +406,9 @@ def p_argmax(ps, values) -> float:
     symmetric about that point, so this picks the physically distinguished
     optimum.
     """
-    best = float(np.max(values))
-    candidates = [float(p) for p, v in zip(ps, values) if v >= best - 1e-12]
-    return min(candidates, key=lambda p: (abs(p - 0.5), p))
+    values = np.asarray(values)
+    candidates = np.asarray(ps)[values >= np.max(values) - 1e-12]
+    return min(map(float, candidates), key=lambda p: (abs(p - 0.5), p))
 
 
 def optimal_p_scan(

@@ -24,13 +24,16 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .bell import (
+    MAX_GRID_POINTS,
     PRESETS,
     analytic_s_b,
     angle_preset,
     bell_function,
-    bell_function_operator,
+    bell_function_operator_vs_eta,
     bell_function_vs_p,
     eta_for_degree,
     p_argmax,
@@ -85,6 +88,8 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must not be below start")
+    if not (stop - start) / step + 1.0 <= MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     count = int(math.floor((stop - start) / step + 1e-9))
     return [start + i * step for i in range(count + 1)]
 
@@ -150,15 +155,15 @@ def cmd_scan(args) -> int:
     grid = parse_grid(args.grid)
     if grid[0] < -1e-9 or grid[-1] > 1.0 + 1e-9:
         raise ValueError("G grid must lie within [0, 1]")
-    rows = []
-    for raw in grid:
-        g = min(max(raw, 0.0), 1.0)
-        eta = eta_for_degree(g)
-        config = preset_config(args.preset, eta, theta=args.theta)
-        rows.append((g, analytic_s_b(args.preset, g), bell_function_operator(config, args.n_max)))
+    degrees = np.clip(grid, 0.0, 1.0)
+    angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
+    s_b_operator = bell_function_operator_vs_eta(
+        0.5, args.theta, angles, eta_for_degree(degrees), args.n_max
+    )
+    rows = zip(degrees, analytic_s_b(args.preset, degrees), s_b_operator)
     _write_csv(args.out, "G,s_b_analytic,s_b_operator", rows)
     write_manifest(args, {"preset": args.preset, "grid": args.grid, "theta": args.theta})
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(grid)} rows)")
     return 0
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bell import BellConfig, chsh
+from .bell import BellConfig, blocks, chsh
 from .binomial import GbsParams
 from .fields import entangled_gbs_state, norm_const
 from .fock import DEFAULT_N_MAX, RandomStream, StateVector, TwoCavityState
@@ -47,27 +47,33 @@ PROBE_PULSE_AREA = math.pi / 2.0
 ALPHA_THRESHOLD = 2.0 / (math.sqrt(2.0) + 1.0)
 
 
-@lru_cache(maxsize=128)
-def _jc_tensor(gt: float, n_max: int) -> np.ndarray:
-    """Unitary of a resonant pulse of area gt as u[atom_out, n_out, atom_in, n_in].
+def _jc_stack(gts: np.ndarray, n_max: int) -> np.ndarray:
+    """Unitaries of resonant pulses as u[k, atom_out, n_out, atom_in, n_in], one per area gts[k].
 
     The uppermost excited level |up, n_max> has no partner inside the
     cutoff and is left unchanged. No caller populates it: generation starts
     from the vacuum and probe_measure refuses fields above one photon.
     """
     d = n_max + 1
-    u = np.zeros((2, d, 2, d), dtype=complex)
+    u = np.zeros((len(gts), 2, d, 2, d), dtype=complex)
     for n in range(d):
-        angle = gt * math.sqrt(n)
-        u[ATOM_DOWN, n, ATOM_DOWN, n] = math.cos(angle)
+        angle = gts * math.sqrt(n)
+        u[:, ATOM_DOWN, n, ATOM_DOWN, n] = np.cos(angle)
         if n >= 1:
-            u[ATOM_UP, n - 1, ATOM_DOWN, n] = math.sin(angle)
+            u[:, ATOM_UP, n - 1, ATOM_DOWN, n] = np.sin(angle)
         if n < n_max:
-            angle = gt * math.sqrt(n + 1)
-            u[ATOM_UP, n, ATOM_UP, n] = math.cos(angle)
-            u[ATOM_DOWN, n + 1, ATOM_UP, n] = -math.sin(angle)
+            angle = gts * math.sqrt(n + 1)
+            u[:, ATOM_UP, n, ATOM_UP, n] = np.cos(angle)
+            u[:, ATOM_DOWN, n + 1, ATOM_UP, n] = -np.sin(angle)
         else:
-            u[ATOM_UP, n, ATOM_UP, n] = 1.0
+            u[:, ATOM_UP, n, ATOM_UP, n] = 1.0
+    return u
+
+
+@lru_cache(maxsize=128)
+def _jc_tensor(gt: float, n_max: int) -> np.ndarray:
+    """The unitary of one pulse of area gt as u[atom_out, n_out, atom_in, n_in]."""
+    u = _jc_stack(np.array([gt], dtype=float), n_max)[0]
     u.setflags(write=False)
     return u
 
@@ -100,10 +106,10 @@ def probe_measure(field: StateVector, d: GbsParams, rng: RandomStream):
     tail = float(np.linalg.norm(field.amplitudes[2:]))
     if tail > 1e-10:
         raise ValueError(f"field has weight {tail**2:.3e} above one photon")
-    state = np.zeros((2, field.n_max + 1), dtype=complex)  # (atom, photon)
-    state[ATOM_DOWN] = field.amplitudes
-    state = _apply_atom_field(state, _jc_tensor(PROBE_PULSE_AREA, field.n_max), 0, 1)
-    state = _apply_single_axis(state, _ramsey_matrix(_mixing_angle(d.p), -d.phi), 0)
+    state = np.zeros((1, 2, field.n_max + 1), dtype=complex)  # (batch, atom, photon)
+    state[0, ATOM_DOWN] = field.amplitudes
+    state = _apply(state, _jc_tensor(PROBE_PULSE_AREA, field.n_max), (0, 1))
+    state = _apply(state, _ramsey_matrix(_mixing_angle(d.p), -d.phi), (0,))[0]
     p_up = float(np.sum(np.abs(state[ATOM_UP]) ** 2))
     got_up = rng.uniform() < p_up
     post_field = StateVector.normalized(state[ATOM_UP if got_up else ATOM_DOWN])
@@ -130,16 +136,23 @@ class GenerationResult:
     atom_probabilities: np.ndarray
 
 
-def _apply_single_axis(state: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, state, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _apply(state: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Apply an operator to some axes of every state in a batch.
 
-
-def _apply_atom_field(
-    state: np.ndarray, u4: np.ndarray, atom_axis: int, field_axis: int
-) -> np.ndarray:
-    out = np.tensordot(u4, state, axes=([2, 3], [atom_axis, field_axis]))
-    return np.moveaxis(out, [0, 1], [atom_axis, field_axis])
+    ``state`` has a leading batch axis, and ``axes`` count the axes after
+    it. ``op`` acts on those axes taken together: one operator with an
+    output and an input index per axis, or a stack of them with one per
+    state. Each state is laid out and multiplied as ``np.tensordot(op,
+    state, ...)`` would do for that state alone, so a batch reproduces the
+    single-state numbers bit for bit.
+    """
+    moved = [axis + 1 for axis in axes]
+    kept = [axis for axis in range(1, state.ndim) if axis not in moved]
+    size = math.prod(state.shape[axis] for axis in moved)
+    flat = state.transpose([0, *moved, *kept]).reshape(state.shape[0], size, -1)
+    out = np.matmul(op.reshape(op.shape[: op.ndim - 2 * len(axes)] + (size, size)), flat)
+    out = out.reshape(out.shape[:1] + tuple(state.shape[axis] for axis in moved + kept))
+    return np.moveaxis(out, range(1, len(moved) + 1), moved)
 
 
 def _generation_joint(
@@ -148,11 +161,13 @@ def _generation_joint(
     theta1: float,
     p2: float,
     theta2: float,
-    gt: float,
+    pulses: np.ndarray,
     phase_referenced: bool,
-    n_max: int,
 ) -> np.ndarray:
-    """Joint amplitudes (atom1, atom2, field1, field2) after the protocol.
+    """Joint amplitudes (batch, atom1, atom2, field1, field2) after the protocol.
+
+    Row k uses the pulse unitary pulses[k] (see _jc_stack) for both
+    cavities.
 
     Each atom crosses its Ramsey zone with cos(theta_j/2) = sqrt(p_j) and
     phase -theta_j, then its cavity for a pulse of area gt. With
@@ -163,18 +178,16 @@ def _generation_joint(
     with the plain real weight eta. With equal field phases it is the
     identity.
     """
-    d = n_max + 1
-    state = np.zeros((2, 2, d, d), dtype=complex)
+    d = pulses.shape[-1]
+    state = np.zeros((1, 2, 2, d, d), dtype=complex)
     rel = cmath.exp(1j * (theta2 - theta1)) if phase_referenced else 1.0
     norm = norm_const(pair.eta)
-    state[ATOM_UP, ATOM_DOWN, 0, 0] = norm
-    state[ATOM_DOWN, ATOM_UP, 0, 0] = norm * pair.eta * rel
-    state = _apply_single_axis(state, _ramsey_matrix(_mixing_angle(p1), -theta1), 0)
-    state = _apply_single_axis(state, _ramsey_matrix(_mixing_angle(p2), -theta2), 1)
-    u4 = _jc_tensor(float(gt), n_max)
-    state = _apply_atom_field(state, u4, 0, 2)
-    state = _apply_atom_field(state, u4, 1, 3)
-    return state
+    state[0, ATOM_UP, ATOM_DOWN, 0, 0] = norm
+    state[0, ATOM_DOWN, ATOM_UP, 0, 0] = norm * pair.eta * rel
+    state = _apply(state, _ramsey_matrix(_mixing_angle(p1), -theta1), (0,))
+    state = _apply(state, _ramsey_matrix(_mixing_angle(p2), -theta2), (1,))
+    state = _apply(state, pulses, (0, 2))
+    return _apply(state, pulses, (1, 3))
 
 
 def generate_entangled_gbs(
@@ -194,7 +207,8 @@ def generate_entangled_gbs(
     parameters (p1, theta1, p2, theta2) and weight eta, up to a global
     phase.
     """
-    joint = _generation_joint(pair, p1, theta1, p2, theta2, gt, phase_referenced, n_max)
+    pulses = _jc_stack(np.array([gt], dtype=float), n_max)
+    joint = _generation_joint(pair, p1, theta1, p2, theta2, pulses, phase_referenced)[0]
     probs = np.sum(np.abs(joint) ** 2, axis=(2, 3))
     ground = joint[ATOM_DOWN, ATOM_DOWN]
     weight = float(np.linalg.norm(ground))
@@ -246,31 +260,50 @@ class BellEstimate:
 
 
 def _probe_outcome_probabilities(
-    joint: np.ndarray, p: float, phi_a: float, phi_b: float, gt: float
+    joint: np.ndarray, pulses: np.ndarray, p: float, settings
 ) -> np.ndarray:
-    """Joint probe-atom outcome probabilities for one pair of settings.
+    """Joint probe-atom outcome probabilities for each pair of settings.
 
-    ``joint`` holds (atom1, atom2, field1, field2) amplitudes straight from
-    the generation stage; the generation atoms are kept in the sum, which
-    is the same as tracing them out, so no conditioning on their state is
-    assumed. Fresh ground-state probes cross the cavities and their Ramsey
-    zones exactly as in probe_measure. Returns probs[q1, q2] over the probe
-    indices (0 = down = outcome -1, 1 = up = outcome +1).
+    ``joint`` holds (batch, atom1, atom2, field1, field2) amplitudes
+    straight from the generation stage; the generation atoms are kept in
+    the sum, which is the same as tracing them out, so no conditioning on
+    their state is assumed. Fresh ground-state probes cross the cavities
+    with the pulse unitaries ``pulses`` (one per row) and their Ramsey
+    zones exactly as in probe_measure. Returns probs[k, s, q1, q2] for row
+    k and setting s over the probe indices (0 = down = outcome -1,
+    1 = up = outcome +1).
     """
     d = joint.shape[-1]
-    full = np.zeros((2, 2, 2, 2, d, d), dtype=complex)
-    full[:, :, ATOM_DOWN, ATOM_DOWN, :, :] = joint
-    u4 = _jc_tensor(float(gt), d - 1)
-    full = _apply_atom_field(full, u4, 2, 4)
-    full = _apply_atom_field(full, u4, 3, 5)
+    full = np.zeros((len(joint), 2, 2, 2, 2, d, d), dtype=complex)
+    full[:, :, :, ATOM_DOWN, ATOM_DOWN] = joint
+    full = _apply(full, pulses, (2, 4))
+    full = _apply(full, pulses, (3, 5))
     theta = _mixing_angle(p)
-    full = _apply_single_axis(full, _ramsey_matrix(theta, -phi_a), 2)
-    full = _apply_single_axis(full, _ramsey_matrix(theta, -phi_b), 3)
-    return np.sum(np.abs(full) ** 2, axis=(0, 1, 4, 5))
+    probs = np.empty((len(joint), len(settings), 2, 2))
+    for index, (phi_a, phi_b) in enumerate(settings):
+        out = _apply(full, _ramsey_matrix(theta, -phi_a), (2,))
+        out = _apply(out, _ramsey_matrix(theta, -phi_b), (3,))
+        probs[:, index] = np.sum(np.abs(out) ** 2, axis=(1, 2, 5, 6))
+    return probs
 
 
-def _correlation_from_probs(probs: np.ndarray) -> float:
-    return float(probs[1, 1] + probs[0, 0] - probs[0, 1] - probs[1, 0])
+def _bell_protocol(bell: BellConfig, gts: np.ndarray, n_max: int):
+    """Generate the symmetric state and probe it at the four settings.
+
+    Every pulse of row k has area gts[k]. Returns the generated joint
+    amplitudes (k, atom1, atom2, field1, field2) and the probe outcome
+    probabilities (k, setting, q1, q2).
+    """
+    pulses = _jc_stack(gts, n_max)
+    pair = InitialAtomPair(bell.eta)
+    joint = _generation_joint(pair, bell.p, bell.theta, bell.p, bell.theta, pulses, True)
+    return joint, _probe_outcome_probabilities(joint, pulses, bell.p, bell.settings)
+
+
+def _correlation_from_probs(probs: np.ndarray) -> np.ndarray:
+    return probs[..., 1, 1] + probs[..., 0, 0] - probs[..., 0, 1] - probs[..., 1, 0]
+
+
 
 
 def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
@@ -292,25 +325,21 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
             f"Bell violation is maximal at p = 1/2; running with p = {bell_cfg.p}",
             stacklevel=2,
         )
-    joint = _generation_joint(
-        InitialAtomPair(bell_cfg.eta),
-        bell_cfg.p,
-        bell_cfg.theta,
-        bell_cfg.p,
-        bell_cfg.theta,
-        gt=PROBE_PULSE_AREA,
-        phase_referenced=True,
-        n_max=cfg.n_max,
-    )
+    _, probs = _bell_protocol(bell_cfg, np.array([PROBE_PULSE_AREA]), cfg.n_max)
     alpha = cfg.detector_efficiency
     master = RandomStream(cfg.seed)
     products = np.array([1.0, -1.0, -1.0, 1.0])  # (down,down), (down,up), (up,down), (up,up)
     estimates = []
     discarded = 0
     for index, (phi_a, phi_b) in enumerate(bell_cfg.settings):
-        probs = _probe_outcome_probabilities(joint, bell_cfg.p, phi_a, phi_b, PROBE_PULSE_AREA)
-        flat = np.clip(probs.ravel(), 0.0, None)
-        cumulative = np.cumsum(flat / flat.sum())
+        flat = probs[0, index].ravel()
+        total = flat.sum()
+        if not (np.all(np.isfinite(flat)) and flat.min() >= -1e-12 and abs(total - 1.0) <= 1e-12):
+            raise RuntimeError(
+                f"outcome distribution at setting {index} is not a probability"
+                f" distribution: {flat.tolist()}"
+            )
+        cumulative = np.cumsum(flat / total)
         draws = master.substream(index).uniforms(3 * cfg.shots).reshape(cfg.shots, 3)
         outcomes = products[np.minimum(np.searchsorted(cumulative, draws[:, 0], side="right"), 3)]
         if alpha < 1.0:
@@ -391,34 +420,29 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> list[Sensitivi
     requirement that the atoms end in the ground state) and the
     operator-exact Bell value of the perturbed protocol at the configured
     angles. No sampling is involved. The sweep is symmetric under
-    epsilon -> -epsilon.
+    epsilon -> -epsilon. Each block of errors (see bell.blocks) runs through
+    generation and probing as one batch.
     """
+    epsilons = np.asarray(relative_errors, dtype=float)
+    outside = epsilons[~(np.abs(epsilons) < 0.5)]
+    if outside.size:
+        raise ValueError(f"relative timing error {float(outside[0])!r} outside (-0.5, 0.5)")
     bell_cfg = cfg.bell
     target = entangled_gbs_state(bell_cfg.state_params, cfg.n_max)
+    # The row vector conj(target), so that a matmul per row is np.vdot.
+    bra = np.conj(target.amplitudes).reshape(1, 1, -1)
     rows = []
-    for epsilon in relative_errors:
-        eps = float(epsilon)
-        if not abs(eps) < 0.5:
-            raise ValueError(f"relative timing error {eps!r} outside (-0.5, 0.5)")
-        gt = PROBE_PULSE_AREA * (1.0 + eps)
-        joint = _generation_joint(
-            InitialAtomPair(bell_cfg.eta),
-            bell_cfg.p,
-            bell_cfg.theta,
-            bell_cfg.p,
-            bell_cfg.theta,
-            gt=gt,
-            phase_referenced=True,
-            n_max=cfg.n_max,
+    # the probe stage holds 16 amplitudes (atom1, atom2, probe1, probe2) per field entry
+    for part in blocks(epsilons.size, 16 * target.amplitudes.size):
+        block = epsilons[part]
+        joint, probs = _bell_protocol(bell_cfg, PROBE_PULSE_AREA * (1.0 + block), cfg.n_max)
+        ground = joint[:, ATOM_DOWN, ATOM_DOWN].reshape(block.size, -1, 1)
+        overlap = np.matmul(bra, ground)[:, 0, 0]
+        # hypot, not np.abs: it rounds like abs() on a single complex number.
+        fidelity = np.hypot(overlap.real, overlap.imag) ** 2
+        s_b = chsh(*_correlation_from_probs(probs).T)
+        rows.extend(
+            SensitivityRow(epsilon=float(e), fidelity=float(f), s_b=float(s))
+            for e, f, s in zip(block, fidelity, s_b)
         )
-        overlap = np.vdot(target.amplitudes, joint[ATOM_DOWN, ATOM_DOWN])
-        fid = float(abs(overlap) ** 2)
-        corr = [
-            _correlation_from_probs(
-                _probe_outcome_probabilities(joint, bell_cfg.p, phi_a, phi_b, gt)
-            )
-            for phi_a, phi_b in bell_cfg.settings
-        ]
-        s_b = chsh(*corr)
-        rows.append(SensitivityRow(epsilon=eps, fidelity=fid, s_b=s_b))
     return rows

@@ -187,6 +187,18 @@ def expectation(op: FieldOperator, state) -> complex:
     return complex(np.vdot(flat, op.matrix @ flat))
 
 
+def pair_expectation(op1: FieldOperator, op2: FieldOperator, amplitudes) -> np.ndarray:
+    """<psi| op1 x op2 |psi> for every joint amplitude matrix psi[..., m, n].
+
+    Takes one (d, d) matrix or a stack (..., d, d) and returns one complex
+    value per matrix. The value is that of ``expectation(joint(op1, op2),
+    state)``, computed as sum(conj(psi) * (op1 @ psi @ op2^T)): O(d^3) time
+    and O(d^2) memory per state, where the joint operator needs O(d^4).
+    """
+    psi = np.asarray(amplitudes)
+    return np.sum(np.conj(psi) * (op1.matrix @ psi @ op2.matrix.T), axis=(-2, -1))
+
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -214,6 +214,11 @@ def test_error_exit_codes(tmp_path, capsys):
         ["pscan", "maximal", "--step", "inf"],
         ["scan", "maximal", "--grid", "0:inf:0.1"],
         ["sensitivity", "maximal", "--epsilons=0:inf:0.1"],
+        # grids past MAX_GRID_POINTS are refused before anything is allocated
+        ["scan", "maximal", "--grid", "0:1:1e-12"],
+        ["pscan", "maximal", "--step", "1e-9"],
+        ["scan", "maximal", "--grid", "0:1:5e-324"],
+        ["pscan", "maximal", "--step", "5e-324"],
     ]
     for argv in failing:
         assert main(argv + ["--out", str(out)]) == 1, argv
@@ -252,6 +257,10 @@ GOLDEN = {
                  "08e67cfb30cfc79ded90d1a6340a51043863beab95ee667f2f3ca1c364f4bea0"),
     "sensitivity": (["sensitivity", "maximal", "--eta", "0.8", "--epsilons=-0.05:0.05:0.01"],
                     "cdba17be88c45285b1aef2d496b5a4da1b56197b4dc590c9b55343b79c639667"),
+    # 801 rows in 29 blocks; the probe stage's summation order shows
+    # in the twelfth digit here when it drifts from the per-row contraction
+    "sensitivity-eta0": (["sensitivity", "maximal", "--eta", "0", "--epsilons=-0.4:0.4:1e-3"],
+                         "d7887464c88a527bbd8a3c8498cff232cbd35f5d1745bf71ab6a9f71ac141968"),
 }
 
 
@@ -261,6 +270,15 @@ def test_deterministic_outputs_are_golden(tmp_path, command):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_scan_oracle_at_large_cutoff(tmp_path):
+    # the joint operator would take 16 * 201^4 bytes (26 GB) at this cutoff
+    out = tmp_path / "big.csv"
+    assert main(["scan", "maximal", "--n-max", "200", "--grid", "0:1:0.5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    assert len(rows) == 3
+    assert max(abs(float(row[1]) - float(row[2])) for row in rows) <= 1e-10
 
 
 def test_manifest_reruns_are_byte_identical(tmp_path):

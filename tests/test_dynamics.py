@@ -19,7 +19,7 @@ from cavity_bell.dynamics import (
     run_bell_experiment,
     timing_sensitivity,
 )
-from cavity_bell.dynamics import _apply_single_axis, _jc_tensor, _ramsey_matrix
+from cavity_bell.dynamics import _apply, _jc_tensor, _ramsey_matrix
 from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
 from cavity_bell.fock import RandomStream, StateVector, fidelity, inner
 
@@ -70,7 +70,7 @@ def test_ramsey_preserves_field():
     field = StateVector.normalized(np.array([0.6, 0.8]))
     state = np.zeros((2, 2), dtype=complex)  # (atom, photon)
     state[ATOM_DOWN] = field.amplitudes
-    out = _apply_single_axis(state, _ramsey_matrix(math.pi / 2, 0.3), 0)
+    out = _apply(state[None], _ramsey_matrix(math.pi / 2, 0.3), (0,))[0]
     marginal = np.sum(np.abs(out) ** 2, axis=0)
     assert np.allclose(marginal, np.abs(field.amplitudes) ** 2, atol=1e-14)
 
@@ -246,6 +246,28 @@ def test_timing_sensitivity_sweep():
         assert by_eps[e].s_b < 2 * math.sqrt(2)
     with pytest.raises(ValueError):
         timing_sensitivity(cfg, [0.6])
+
+
+def test_outcome_distribution_is_checked_before_sampling(tmp_path, monkeypatch, capsys):
+    from cavity_bell import dynamics
+    from cavity_bell.cli import main
+
+    cfg = ExperimentConfig(bell=preset_config("maximal", 1.0), shots=100, seed=3)
+    bad = {
+        "nan": [0.25, 0.25, 0.25, float("nan")],
+        "negative": [0.5, 0.5, 0.1, -0.1],
+        "unnormalised": [0.25, 0.25, 0.25, 0.26],
+    }
+    for name, values in bad.items():
+        probs = np.tile(np.reshape(values, (2, 2)), (1, 4, 1, 1))
+        monkeypatch.setattr(dynamics, "_probe_outcome_probabilities", lambda *a, p=probs: p)
+        with pytest.raises(RuntimeError, match="not a probability distribution"):
+            run_bell_experiment(cfg)
+        out = tmp_path / name
+        assert main(["simulate", "maximal", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_timing_sensitivity_regression_values():
