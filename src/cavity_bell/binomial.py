@@ -35,6 +35,19 @@ def wrap_angle(x: float) -> float:
     return w
 
 
+def _set_p_phi(params) -> None:
+    """Check and store the (p, phi) pair of BinomialParams or GbsParams.
+
+    p must lie in [0, 1] and phi be finite; phi is stored wrapped to (-pi, pi].
+    """
+    if not 0.0 <= params.p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {params.p!r}")
+    if not math.isfinite(params.phi):
+        raise ValueError(f"phi must be finite, got {params.phi!r}")
+    object.__setattr__(params, "p", float(params.p))
+    object.__setattr__(params, "phi", wrap_angle(params.phi))
+
+
 @dataclass(frozen=True)
 class BinomialParams:
     """Parameters (N, p, phi) of a generalized binomial state.
@@ -51,11 +64,8 @@ class BinomialParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        _set_p_phi(self)
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
 @dataclass(frozen=True)
@@ -69,12 +79,7 @@ class GbsParams:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi!r}")
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
+        _set_p_phi(self)
 
     def as_binomial(self) -> BinomialParams:
         return BinomialParams(1, self.p, self.phi)

@@ -21,6 +21,7 @@ option arguments need the = form, e.g. --theta2=-0.3pi.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -104,10 +105,8 @@ def parse_value_list(text: str) -> list[float]:
 
 
 def fmt(value: float) -> str:
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0 so reports do not flip sign on a zero
-    return "%.12g" % v
+    # + 0.0 turns -0.0 into 0.0, so a zero never prints with a sign
+    return "%.12g" % (float(value) + 0.0)
 
 
 def _format_param(value) -> str:
@@ -123,11 +122,14 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: str, columns) -> None:
+    """Write equal-length columns as CSV rows with the precision of ``fmt``."""
+    columns = [np.asarray(column, dtype=float) + 0.0 for column in columns]  # as in fmt
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(header + "\n")
+        for values in zip(*columns):
+            handle.write(row % values)
 
 
 def _write_keyvalue(path: str, items) -> None:
@@ -135,8 +137,17 @@ def _write_keyvalue(path: str, items) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_manifest(args, params: dict, results: dict | None = None) -> str:
-    """Write the run manifest next to the output file and return its path."""
+#: Parsed options that are not ``param.*`` manifest lines: the subcommand and
+#: its handler, and the three options the manifest records on lines of their own.
+_NOT_PARAMS = frozenset({"command", "handler", "n_max", "out", "seed"})
+
+
+def write_manifest(args, results: dict | None = None) -> str:
+    """Write the run manifest next to the output file and return its path.
+
+    Every parsed option of the command except _NOT_PARAMS is one param.* line.
+    """
+    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
     lines = [f"command = {args.command}", f"version = {__version__}"]
     if "seed" in args:
         lines.append(f"seed = {args.seed}")
@@ -151,6 +162,25 @@ def write_manifest(args, params: dict, results: dict | None = None) -> str:
     return path
 
 
+#: Options of the two-cavity state, in EntangledGbsParams field order.
+STATE_OPTIONS = tuple(field.name for field in dataclasses.fields(EntangledGbsParams))
+#: Options of a Bell run at a preset, in preset_config order.
+BELL_RUN_OPTIONS = ("preset", "eta", "p", "theta")
+
+
+def _echo(args, names) -> list:
+    """Report lines that repeat the options ``names`` of the run."""
+    return [(name, getattr(args, name)) for name in names]
+
+
+def _state_params(args) -> EntangledGbsParams:
+    return EntangledGbsParams(**dict(_echo(args, STATE_OPTIONS)))
+
+
+def _bell_config(args):
+    return preset_config(args.preset, args.eta, p=args.p, theta=args.theta)
+
+
 def cmd_scan(args) -> int:
     grid = parse_grid(args.grid)
     if grid[0] < -1e-9 or grid[-1] > 1.0 + 1e-9:
@@ -160,9 +190,9 @@ def cmd_scan(args) -> int:
     s_b_operator = bell_function_operator_vs_eta(
         0.5, args.theta, angles, eta_for_degree(degrees), args.n_max
     )
-    rows = zip(degrees, analytic_s_b(args.preset, degrees), s_b_operator)
-    _write_csv(args.out, "G,s_b_analytic,s_b_operator", rows)
-    write_manifest(args, {"preset": args.preset, "grid": args.grid, "theta": args.theta})
+    columns = (degrees, analytic_s_b(args.preset, degrees), s_b_operator)
+    _write_csv(args.out, "G,s_b_analytic,s_b_operator", columns)
+    write_manifest(args)
     print(f"wrote {args.out} ({len(grid)} rows)")
     return 0
 
@@ -172,31 +202,20 @@ def cmd_pscan(args) -> int:
     ps = p_grid(args.step)
     values = bell_function_vs_p(args.theta, args.eta, angles, ps)
     p_star = p_argmax(ps, values)
-    _write_csv(args.out, "p,s_b", zip(ps, values))
-    write_manifest(
-        args,
-        {"preset": args.preset, "eta": args.eta, "theta": args.theta, "step": args.step},
-        {"p_star": p_star},
-    )
+    _write_csv(args.out, "p,s_b", (ps, values))
+    write_manifest(args, {"p_star": p_star})
     print(f"p_star = {fmt(p_star)}")
     print(f"wrote {args.out} ({len(ps)} rows)")
     return 0
 
 
 def cmd_covariance(args) -> int:
-    params = EntangledGbsParams(
-        p1=args.p1, p2=args.p2, theta1=args.theta1, theta2=args.theta2, eta=args.eta
-    )
+    params = _state_params(args)
     stats = field_covariance(params)
     e1_op = field_expectation_operator(params, 1, args.n_max)
     e2_op = field_expectation_operator(params, 2, args.n_max)
     e1e2_op = field_correlation_operator(params, args.n_max)
-    items = [
-        ("p1", args.p1),
-        ("p2", args.p2),
-        ("theta1", args.theta1),
-        ("theta2", args.theta2),
-        ("eta", args.eta),
+    items = _echo(args, STATE_OPTIONS) + [
         ("e1_analytic", stats.e1),
         ("e1_operator", e1_op),
         ("e2_analytic", stats.e2),
@@ -207,16 +226,7 @@ def cmd_covariance(args) -> int:
         ("covariance_operator", e1e2_op - e1_op * e2_op),
     ]
     _write_keyvalue(args.out, items)
-    write_manifest(
-        args,
-        {
-            "p1": args.p1,
-            "p2": args.p2,
-            "theta1": args.theta1,
-            "theta2": args.theta2,
-            "eta": args.eta,
-        },
-    )
+    write_manifest(args)
     print(f"covariance = {fmt(stats.covariance)}")
     return 0
 
@@ -224,7 +234,7 @@ def cmd_covariance(args) -> int:
 def cmd_simulate(args) -> int:
     if args.shots < 100:
         raise ValueError("shots must be at least 100")
-    config = preset_config(args.preset, args.eta, p=args.p, theta=args.theta)
+    config = _bell_config(args)
     experiment = ExperimentConfig(
         bell=config,
         shots=args.shots,
@@ -235,14 +245,7 @@ def cmd_simulate(args) -> int:
     estimate = run_bell_experiment(experiment)
     analytic = bell_function(config)
     report = detection_threshold_check(args.alpha)
-    items = [
-        ("preset", args.preset),
-        ("eta", args.eta),
-        ("p", args.p),
-        ("theta", args.theta),
-        ("shots", args.shots),
-        ("seed", args.seed),
-        ("alpha", args.alpha),
+    items = _echo(args, BELL_RUN_OPTIONS + ("shots", "seed", "alpha")) + [
         ("alpha_threshold", report.alpha_threshold),
         ("alpha_above_threshold", report.violable),
         ("s_b_analytic", analytic),
@@ -263,44 +266,25 @@ def cmd_simulate(args) -> int:
             ]
         )
     _write_keyvalue(args.out, items)
-    write_manifest(
-        args,
-        {
-            "preset": args.preset,
-            "eta": args.eta,
-            "p": args.p,
-            "theta": args.theta,
-            "shots": args.shots,
-            "alpha": args.alpha,
-        },
-        {"s_b_hat": estimate.s_b_hat, "std_error": estimate.std_error},
-    )
+    write_manifest(args, {"s_b_hat": estimate.s_b_hat, "std_error": estimate.std_error})
     print(f"s_b_hat = {fmt(estimate.s_b_hat)} +/- {fmt(estimate.std_error)}"
           f" (analytic {fmt(analytic)})")
     return 0
 
 
 def cmd_generate(args) -> int:
-    params = EntangledGbsParams(
-        p1=args.p1, p2=args.p2, theta1=args.theta1, theta2=args.theta2, eta=args.eta
-    )
+    params = _state_params(args)
     result = generate_entangled_gbs(
-        InitialAtomPair(args.eta),
-        args.p1,
-        args.theta1,
-        args.p2,
-        args.theta2,
+        InitialAtomPair(params.eta),
+        params.p1,
+        params.theta1,
+        params.p2,
+        params.theta2,
         n_max=args.n_max,
     )
-    target = entangled_gbs_state(params, args.n_max)
-    fid = fidelity(result.field, target)
+    fid = fidelity(result.field, entangled_gbs_state(params, args.n_max))
     probs = result.atom_probabilities
-    items = [
-        ("p1", args.p1),
-        ("p2", args.p2),
-        ("theta1", args.theta1),
-        ("theta2", args.theta2),
-        ("eta", args.eta),
+    items = _echo(args, STATE_OPTIONS) + [
         ("fidelity", fid),
         ("prob_down_down", float(probs[0, 0])),
         ("prob_down_up", float(probs[0, 1])),
@@ -308,40 +292,19 @@ def cmd_generate(args) -> int:
         ("prob_up_up", float(probs[1, 1])),
     ]
     _write_keyvalue(args.out, items)
-    write_manifest(
-        args,
-        {
-            "p1": args.p1,
-            "p2": args.p2,
-            "theta1": args.theta1,
-            "theta2": args.theta2,
-            "eta": args.eta,
-        },
-        {"fidelity": fid},
-    )
+    write_manifest(args, {"fidelity": fid})
     print(f"fidelity = {fmt(fid)}")
     return 0
 
 
 def cmd_sensitivity(args) -> int:
     epsilons = parse_value_list(args.epsilons)
-    config = preset_config(args.preset, args.eta, p=args.p, theta=args.theta)
     # The sweep draws no random numbers; shots and seed only fill the config.
-    experiment = ExperimentConfig(bell=config, shots=1, seed=0, n_max=args.n_max)
+    experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0, n_max=args.n_max)
     rows = timing_sensitivity(experiment, epsilons)
-    _write_csv(
-        args.out, "epsilon,fidelity,s_b", ((r.epsilon, r.fidelity, r.s_b) for r in rows)
-    )
-    write_manifest(
-        args,
-        {
-            "preset": args.preset,
-            "eta": args.eta,
-            "p": args.p,
-            "theta": args.theta,
-            "epsilons": args.epsilons,
-        },
-    )
+    columns = [[getattr(row, name) for row in rows] for name in ("epsilon", "fidelity", "s_b")]
+    _write_csv(args.out, "epsilon,fidelity,s_b", columns)
+    write_manifest(args)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -360,6 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"Fock-space cutoff (default {DEFAULT_N_MAX})",
     )
     common.add_argument("--out", required=True, help="output file path")
+    state = argparse.ArgumentParser(add_help=False)  # STATE_OPTIONS
+    state.add_argument("--p1", type=float, default=0.5)
+    state.add_argument("--p2", type=float, default=0.5)
+    state.add_argument("--theta1", type=parse_angle, default=0.0)
+    state.add_argument("--theta2", type=parse_angle, default=0.0)
+    state.add_argument("--eta", type=float, default=1.0)
+    bell_run = argparse.ArgumentParser(add_help=False)  # BELL_RUN_OPTIONS
+    bell_run.add_argument("preset", choices=PRESETS)
+    bell_run.add_argument("--eta", type=float, default=1.0)
+    bell_run.add_argument("--p", type=float, default=0.5)
+    bell_run.add_argument("--theta", type=parse_angle, default=0.0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser(
@@ -378,22 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     pscan.set_defaults(handler=cmd_pscan)
 
     covariance = sub.add_parser(
-        "covariance", parents=[common], help="field statistics report (key-value)"
+        "covariance", parents=[common, state], help="field statistics report (key-value)"
     )
-    covariance.add_argument("--p1", type=float, default=0.5)
-    covariance.add_argument("--p2", type=float, default=0.5)
-    covariance.add_argument("--theta1", type=parse_angle, default=0.0)
-    covariance.add_argument("--theta2", type=parse_angle, default=0.0)
-    covariance.add_argument("--eta", type=float, default=1.0)
     covariance.set_defaults(handler=cmd_covariance)
 
     simulate = sub.add_parser(
-        "simulate", parents=[common], help="Monte Carlo Bell experiment (key-value)"
+        "simulate", parents=[common, bell_run], help="Monte Carlo Bell experiment (key-value)"
     )
-    simulate.add_argument("preset", choices=PRESETS)
-    simulate.add_argument("--eta", type=float, default=1.0)
-    simulate.add_argument("--p", type=float, default=0.5)
-    simulate.add_argument("--theta", type=parse_angle, default=0.0)
     simulate.add_argument("--shots", type=int, default=10000, help="shots per setting (min 100)")
     simulate.add_argument("--seed", type=int, default=12345, help="random seed (default 12345)")
     simulate.add_argument(
@@ -402,22 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=cmd_simulate)
 
     generate = sub.add_parser(
-        "generate", parents=[common], help="generation-protocol fidelity (key-value)"
+        "generate", parents=[common, state], help="generation-protocol fidelity (key-value)"
     )
-    generate.add_argument("--eta", type=float, default=1.0)
-    generate.add_argument("--p1", type=float, default=0.5)
-    generate.add_argument("--p2", type=float, default=0.5)
-    generate.add_argument("--theta1", type=parse_angle, default=0.0)
-    generate.add_argument("--theta2", type=parse_angle, default=0.0)
     generate.set_defaults(handler=cmd_generate)
 
     sensitivity = sub.add_parser(
-        "sensitivity", parents=[common], help="pulse-timing error sweep (CSV)"
+        "sensitivity", parents=[common, bell_run], help="pulse-timing error sweep (CSV)"
     )
-    sensitivity.add_argument("preset", choices=PRESETS)
-    sensitivity.add_argument("--eta", type=float, default=1.0)
-    sensitivity.add_argument("--p", type=float, default=0.5)
-    sensitivity.add_argument("--theta", type=parse_angle, default=0.0)
     sensitivity.add_argument(
         "--epsilons",
         default="-0.05,-0.02,-0.01,0,0.01,0.02,0.05",

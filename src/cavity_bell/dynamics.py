@@ -32,7 +32,7 @@ import numpy as np
 
 from .bell import BellConfig, blocks, chsh
 from .binomial import GbsParams
-from .fields import entangled_gbs_state, norm_const
+from .fields import EntangledGbsParams, entangled_gbs_state, norm_const
 from .fock import DEFAULT_N_MAX, RandomStream, StateVector, TwoCavityState
 
 ATOM_DOWN = 0
@@ -89,7 +89,7 @@ def _ramsey_matrix(theta: float, phi: float) -> np.ndarray:
 def _mixing_angle(p: float) -> float:
     # cos(theta/2) = sqrt(p) picks the rotation that maps the Bernoulli
     # basis pair onto the bare atomic states.
-    return 2.0 * math.acos(math.sqrt(min(max(p, 0.0), 1.0)))
+    return 2.0 * math.acos(math.sqrt(p))
 
 
 def probe_measure(field: StateVector, d: GbsParams, rng: RandomStream):
@@ -156,18 +156,13 @@ def _apply(state: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarr
 
 
 def _generation_joint(
-    pair: InitialAtomPair,
-    p1: float,
-    theta1: float,
-    p2: float,
-    theta2: float,
-    pulses: np.ndarray,
-    phase_referenced: bool,
+    params: EntangledGbsParams, pulses: np.ndarray, phase_referenced: bool
 ) -> np.ndarray:
     """Joint amplitudes (batch, atom1, atom2, field1, field2) after the protocol.
 
-    Row k uses the pulse unitary pulses[k] (see _jc_stack) for both
-    cavities.
+    The atom pair starts in (|up down> + eta |down up>) / sqrt(1 + eta^2)
+    with the eta of ``params``. Row k uses the pulse unitary pulses[k] (see
+    _jc_stack) for both cavities.
 
     Each atom crosses its Ramsey zone with cos(theta_j/2) = sqrt(p_j) and
     phase -theta_j, then its cavity for a pulse of area gt. With
@@ -180,12 +175,12 @@ def _generation_joint(
     """
     d = pulses.shape[-1]
     state = np.zeros((1, 2, 2, d, d), dtype=complex)
-    rel = cmath.exp(1j * (theta2 - theta1)) if phase_referenced else 1.0
-    norm = norm_const(pair.eta)
+    rel = cmath.exp(1j * (params.theta2 - params.theta1)) if phase_referenced else 1.0
+    norm = norm_const(params.eta)
     state[0, ATOM_UP, ATOM_DOWN, 0, 0] = norm
-    state[0, ATOM_DOWN, ATOM_UP, 0, 0] = norm * pair.eta * rel
-    state = _apply(state, _ramsey_matrix(_mixing_angle(p1), -theta1), (0,))
-    state = _apply(state, _ramsey_matrix(_mixing_angle(p2), -theta2), (1,))
+    state[0, ATOM_DOWN, ATOM_UP, 0, 0] = norm * params.eta * rel
+    state = _apply(state, _ramsey_matrix(_mixing_angle(params.p1), -params.theta1), (0,))
+    state = _apply(state, _ramsey_matrix(_mixing_angle(params.p2), -params.theta2), (1,))
     state = _apply(state, pulses, (0, 2))
     return _apply(state, pulses, (1, 3))
 
@@ -205,10 +200,12 @@ def generate_entangled_gbs(
     For gt = pi/2 both atoms end in the ground state with probability one
     and the cavities carry the entangled two-cavity Bernoulli state with
     parameters (p1, theta1, p2, theta2) and weight eta, up to a global
-    phase.
+    phase. Raises ValueError, naming the field, unless both p lie in [0, 1]
+    and all five parameters are finite.
     """
+    params = EntangledGbsParams(p1=p1, p2=p2, theta1=theta1, theta2=theta2, eta=pair.eta)
     pulses = _jc_stack(np.array([gt], dtype=float), n_max)
-    joint = _generation_joint(pair, p1, theta1, p2, theta2, pulses, phase_referenced)[0]
+    joint = _generation_joint(params, pulses, phase_referenced)[0]
     probs = np.sum(np.abs(joint) ** 2, axis=(2, 3))
     ground = joint[ATOM_DOWN, ATOM_DOWN]
     weight = float(np.linalg.norm(ground))
@@ -295,15 +292,12 @@ def _bell_protocol(bell: BellConfig, gts: np.ndarray, n_max: int):
     probabilities (k, setting, q1, q2).
     """
     pulses = _jc_stack(gts, n_max)
-    pair = InitialAtomPair(bell.eta)
-    joint = _generation_joint(pair, bell.p, bell.theta, bell.p, bell.theta, pulses, True)
+    joint = _generation_joint(bell.state_params, pulses, True)
     return joint, _probe_outcome_probabilities(joint, pulses, bell.p, bell.settings)
 
 
 def _correlation_from_probs(probs: np.ndarray) -> np.ndarray:
     return probs[..., 1, 1] + probs[..., 0, 0] - probs[..., 0, 1] - probs[..., 1, 0]
-
-
 
 
 def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
@@ -378,7 +372,6 @@ class DetectionReport:
     alpha: float
     alpha_threshold: float
     violable: bool
-    note: str
 
 
 def detection_threshold_check(alpha: float) -> DetectionReport:
@@ -395,10 +388,6 @@ def detection_threshold_check(alpha: float) -> DetectionReport:
         alpha=alpha,
         alpha_threshold=ALPHA_THRESHOLD,
         violable=alpha > ALPHA_THRESHOLD,
-        note=(
-            "threshold for dropping the fair-sampling assumption with "
-            "maximally entangled states"
-        ),
     )
 
 

@@ -87,15 +87,6 @@ class TwoCavityState:
     def n_max(self) -> int:
         return self.amplitudes.shape[0] - 1
 
-    @classmethod
-    def fock(cls, m: int, n: int, n_max: int = DEFAULT_N_MAX) -> "TwoCavityState":
-        """Product number state |m>|n>."""
-        if not (0 <= m <= n_max and 0 <= n <= n_max):
-            raise ValueError(f"photon numbers ({m}, {n}) outside 0..{n_max}")
-        amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        amps[m, n] = 1.0
-        return cls(amps)
-
 
 @dataclass(frozen=True)
 class FieldOperator:

@@ -103,6 +103,9 @@ def test_parameter_validation():
         BinomialParams(2, 1.5, 0.0)
     with pytest.raises(ValueError):
         BinomialParams(2, -0.1, 0.0)
+    for phi in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            BinomialParams(1, 0.5, phi)
     with pytest.raises(ValueError):
         binomial_state(BinomialParams(70, 0.5, 0.0), n_max=71)
     with pytest.raises(ValueError):

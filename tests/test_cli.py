@@ -168,6 +168,8 @@ def test_simulate_report_and_reproducibility(tmp_path):
     manifest = keyvalues(read(tmp_path / "a.txt.manifest"))
     assert manifest["seed"] == "42"
     assert manifest["result.s_b_hat"] == report["s_b_hat"]
+    params = {key[len("param."):] for key in manifest if key.startswith("param.")}
+    assert params == {"alpha", "eta", "p", "preset", "shots", "theta"}
 
 
 def test_simulate_with_losses(tmp_path):
@@ -244,32 +246,42 @@ def test_memory_error_is_reported(tmp_path, monkeypatch, capsys):
 
 # sha256 of small deterministic runs. The deterministic commands promise
 # byte-identical output, so a refactor must leave these digests unchanged.
+# command line: sha256 of the output and of its manifest without the output = line
 GOLDEN = {
     "scan": (["scan", "wide", "--grid", "0:1:0.1", "--theta", "0.3pi"],
-             "f6879d07c0af6e47b6475e941c88ad2c2c22bf49aef7f12dcb949553d927bed9"),
+             "f6879d07c0af6e47b6475e941c88ad2c2c22bf49aef7f12dcb949553d927bed9",
+             "856d297f3ca6e04ed1dc03ed169b2d6093798aaf8af70d75287e55633799452b"),
     "pscan": (["pscan", "maximal", "--eta", "0.7", "--theta", "0.4", "--step", "0.01"],
-              "eb907adae2a4529c18ef9afd3491bca9ef732dd259d46f28caa39b636ea1edf7"),
+              "eb907adae2a4529c18ef9afd3491bca9ef732dd259d46f28caa39b636ea1edf7",
+              "6885c6d3e33edc022fface95b84a33459c8788e975b458611a438e84b1291c09"),
     "covariance": (["covariance", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
                     "--theta2=-0.3pi", "--eta=-0.7"],
-                   "0de31a34bf78ac8a8151c98c8178af5a6e9721b97d9caf90c24e5d9caa86e102"),
+                   "0de31a34bf78ac8a8151c98c8178af5a6e9721b97d9caf90c24e5d9caa86e102",
+                   "48425518459a4b31c15f5a051b85955546dcf7c80db8d1b5a8643fa228ae8d98"),
     "generate": (["generate", "--eta=-1.5", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
                   "--theta2=-0.3pi"],
-                 "08e67cfb30cfc79ded90d1a6340a51043863beab95ee667f2f3ca1c364f4bea0"),
+                 "08e67cfb30cfc79ded90d1a6340a51043863beab95ee667f2f3ca1c364f4bea0",
+                 "dd1cb9a904131dcd5c014b0cf92d34d3dad232ababc45e62b5f46f3b68ae0338"),
     "sensitivity": (["sensitivity", "maximal", "--eta", "0.8", "--epsilons=-0.05:0.05:0.01"],
-                    "cdba17be88c45285b1aef2d496b5a4da1b56197b4dc590c9b55343b79c639667"),
+                    "cdba17be88c45285b1aef2d496b5a4da1b56197b4dc590c9b55343b79c639667",
+                    "0e422082cb6b3964d141697fcfe39b1ad3f7fe1da5333059467c7c47c9250125"),
     # 801 rows in 29 blocks; the probe stage's summation order shows
     # in the twelfth digit here when it drifts from the per-row contraction
     "sensitivity-eta0": (["sensitivity", "maximal", "--eta", "0", "--epsilons=-0.4:0.4:1e-3"],
-                         "d7887464c88a527bbd8a3c8498cff232cbd35f5d1745bf71ab6a9f71ac141968"),
+                         "d7887464c88a527bbd8a3c8498cff232cbd35f5d1745bf71ab6a9f71ac141968",
+                         "e5762a1a413b0e909e596a9ebd576048f467b9c4b3c90bdc4d82b661e1425b74"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_deterministic_outputs_are_golden(tmp_path, command):
-    argv, digest = GOLDEN[command]
+    argv, digest, manifest_digest = GOLDEN[command]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    lines = read(tmp_path / "out.manifest").splitlines(keepends=True)
+    manifest = "".join(line for line in lines if not line.startswith("output = "))
+    assert hashlib.sha256(manifest.encode()).hexdigest() == manifest_digest
 
 
 def test_scan_oracle_at_large_cutoff(tmp_path):

@@ -167,6 +167,16 @@ def test_generation_with_empty_ground_branch():
         generate_entangled_gbs(InitialAtomPair(0.0), 1.0, 0.0, 1.0, 0.0, gt=math.pi)
 
 
+@pytest.mark.parametrize(
+    "p1, p2, eta, field",
+    [(1.5, 0.5, 1.0, "p1"), (0.5, -0.2, 1.0, "p2"), (0.5, 0.5, math.nan, "eta")],
+)
+def test_generation_refuses_bad_parameters(p1, p2, eta, field):
+    # out-of-range p used to be clamped into a made-up state
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        generate_entangled_gbs(InitialAtomPair(eta), p1, 0.0, p2, 0.0)
+
+
 def test_experiment_determinism():
     cfg = ExperimentConfig(bell=preset_config("maximal", 1.0), shots=2000, seed=314)
     first = run_bell_experiment(cfg)
