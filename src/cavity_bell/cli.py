@@ -117,11 +117,6 @@ def _format_param(value) -> str:
     return str(value)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def _write_csv(path: str, header: str, columns) -> None:
     """Write equal-length columns as CSV rows with the precision of ``fmt``."""
     columns = [np.asarray(column, dtype=float) + 0.0 for column in columns]  # as in fmt
@@ -133,8 +128,9 @@ def _write_csv(path: str, header: str, columns) -> None:
 
 
 def _write_keyvalue(path: str, items) -> None:
-    lines = [f"{key} = {_format_param(value)}" for key, value in items]
-    _write_text(path, "\n".join(lines) + "\n")
+    lines = [f"{key} = {_format_param(value)}\n" for key, value in items]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(lines)
 
 
 #: Parsed options that are not ``param.*`` manifest lines: the subcommand and
@@ -142,24 +138,20 @@ def _write_keyvalue(path: str, items) -> None:
 _NOT_PARAMS = frozenset({"command", "handler", "n_max", "out", "seed"})
 
 
-def write_manifest(args, results: dict | None = None) -> str:
-    """Write the run manifest next to the output file and return its path.
+def write_manifest(args, results: dict | None = None) -> None:
+    """Write the run manifest next to the output file.
 
     Every parsed option of the command except _NOT_PARAMS is one param.* line.
     """
     params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
-    lines = [f"command = {args.command}", f"version = {__version__}"]
+    items = [("command", args.command), ("version", __version__)]
     if "seed" in args:
-        lines.append(f"seed = {args.seed}")
-    lines.append(f"n_max = {args.n_max}")
-    for key in sorted(params):
-        lines.append(f"param.{key} = {_format_param(params[key])}")
-    lines.append(f"output = {args.out}")
-    for key in sorted(results or {}):
-        lines.append(f"result.{key} = {_format_param(results[key])}")
-    path = args.out + ".manifest"
-    _write_text(path, "\n".join(lines) + "\n")
-    return path
+        items.append(("seed", args.seed))
+    items.append(("n_max", args.n_max))
+    items += [(f"param.{key}", params[key]) for key in sorted(params)]
+    items.append(("output", args.out))
+    items += [(f"result.{key}", value) for key, value in sorted((results or {}).items())]
+    _write_keyvalue(args.out + ".manifest", items)
 
 
 #: Options of the two-cavity state, in EntangledGbsParams field order.
@@ -388,7 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

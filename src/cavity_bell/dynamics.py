@@ -33,7 +33,7 @@ import numpy as np
 from .bell import BellConfig, blocks, chsh
 from .binomial import GbsParams
 from .fields import EntangledGbsParams, entangled_gbs_state, norm_const
-from .fock import DEFAULT_N_MAX, RandomStream, StateVector, TwoCavityState
+from .fock import DEFAULT_N_MAX, RandomStream, StateVector, TwoCavityState, braket
 
 ATOM_DOWN = 0
 ATOM_UP = 1
@@ -418,15 +418,12 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> list[Sensitivi
         raise ValueError(f"relative timing error {float(outside[0])!r} outside (-0.5, 0.5)")
     bell_cfg = cfg.bell
     target = entangled_gbs_state(bell_cfg.state_params, cfg.n_max)
-    # The row vector conj(target), so that a matmul per row is np.vdot.
-    bra = np.conj(target.amplitudes).reshape(1, 1, -1)
     rows = []
     # the probe stage holds 16 amplitudes (atom1, atom2, probe1, probe2) per field entry
     for part in blocks(epsilons.size, 16 * target.amplitudes.size):
         block = epsilons[part]
         joint, probs = _bell_protocol(bell_cfg, PROBE_PULSE_AREA * (1.0 + block), cfg.n_max)
-        ground = joint[:, ATOM_DOWN, ATOM_DOWN].reshape(block.size, -1, 1)
-        overlap = np.matmul(bra, ground)[:, 0, 0]
+        overlap = braket(target.amplitudes, joint[:, ATOM_DOWN, ATOM_DOWN])
         # hypot, not np.abs: it rounds like abs() on a single complex number.
         fidelity = np.hypot(overlap.real, overlap.imag) ** 2
         s_b = chsh(*_correlation_from_probs(probs).T)

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binomial import GbsParams, gbs_state, orthogonal_partner
-from .fock import (
-    DEFAULT_N_MAX,
-    TwoCavityState,
-    expectation,
-    identity,
-    joint,
-    quadrature,
-    tensor,
-)
+from .fock import DEFAULT_N_MAX, TwoCavityState, identity, pair_expectation, quadrature, tensor
 
 
 @dataclass(frozen=True)
@@ -171,16 +163,13 @@ def field_expectation_operator(
     """Operator-oracle value of <E_j>: build the state, apply a + a-dagger."""
     if cavity not in (1, 2):
         raise ValueError(f"cavity must be 1 or 2, got {cavity!r}")
+    field, one = quadrature(n_max), identity(n_max)
+    ops = (field, one) if cavity == 1 else (one, field)
     state = entangled_gbs_state(params, n_max)
-    if cavity == 1:
-        op = joint(quadrature(n_max), identity(n_max))
-    else:
-        op = joint(identity(n_max), quadrature(n_max))
-    return expectation(op, state).real
+    return float(pair_expectation(*ops, state.amplitudes).real)
 
 
 def field_correlation_operator(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> float:
     """Operator-oracle value of <E_1 E_2>."""
     state = entangled_gbs_state(params, n_max)
-    op = joint(quadrature(n_max), quadrature(n_max))
-    return expectation(op, state).real
+    return float(pair_expectation(quadrature(n_max), quadrature(n_max), state.amplitudes).real)

@@ -221,6 +221,13 @@ def test_error_exit_codes(tmp_path, capsys):
         ["pscan", "maximal", "--step", "1e-9"],
         ["scan", "maximal", "--grid", "0:1:5e-324"],
         ["pscan", "maximal", "--step", "5e-324"],
+        # eta**2 overflows: an error line, not a traceback
+        ["covariance", "--eta", "1e200"],
+        ["covariance", "--eta=-1e155"],
+        ["simulate", "maximal", "--eta", "1e300", "--shots", "100"],
+        ["generate", "--eta", "1e300"],
+        ["pscan", "maximal", "--eta", "1e200"],
+        ["sensitivity", "maximal", "--eta", "1e200"],
     ]
     for argv in failing:
         assert main(argv + ["--out", str(out)]) == 1, argv
@@ -258,6 +265,12 @@ GOLDEN = {
                     "--theta2=-0.3pi", "--eta=-0.7"],
                    "0de31a34bf78ac8a8151c98c8178af5a6e9721b97d9caf90c24e5d9caa86e102",
                    "48425518459a4b31c15f5a051b85955546dcf7c80db8d1b5a8643fa228ae8d98"),
+    # the operator values print -3.46944695195e-17 and 8.32667268469e-17 here
+    # where the closed forms are 0; the summation order shows in those bytes
+    "covariance-eta1": (["covariance", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
+                         "--theta2=-0.3pi", "--eta=-1"],
+                        "f1fee1334f17a1d0f381d70f6d04443bd3d7d63b102a5c249ddf70d3d0fa7e96",
+                        "2aebec10b88d67b6a6fece5457e2978120a169f4c093b57084629b0d4ef54515"),
     "generate": (["generate", "--eta=-1.5", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
                   "--theta2=-0.3pi"],
                  "08e67cfb30cfc79ded90d1a6340a51043863beab95ee667f2f3ca1c364f4bea0",
@@ -291,6 +304,18 @@ def test_scan_oracle_at_large_cutoff(tmp_path):
     rows = [line.split(",") for line in read(out).splitlines()[1:]]
     assert len(rows) == 3
     assert max(abs(float(row[1]) - float(row[2])) for row in rows) <= 1e-10
+
+
+def test_covariance_at_large_cutoff(tmp_path):
+    # each joint operator would take 16 * 201^4 bytes (26 GB) at this cutoff
+    out = tmp_path / "big.txt"
+    argv = ["covariance", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
+            "--theta2=-0.3pi", "--eta=-0.7", "--n-max", "200", "--out", str(out)]
+    assert main(argv) == 0
+    report = keyvalues(read(out))
+    for name in ("e1", "e2", "e1e2", "covariance"):
+        analytic = float(report[f"{name}_analytic"])
+        assert abs(float(report[f"{name}_operator"]) - analytic) <= 1e-12, name
 
 
 def test_manifest_reruns_are_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
 """Kernel checks: states, operators, seeded streams."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_random_stream_reproducible():
     c = RandomStream(124).uniforms(64)
     assert not np.array_equal(a, c)
     assert np.all((a >= 0.0) & (a < 1.0))
+
+
+def test_random_stream_keys_keep_all_64_bits():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # NumPy warns when it casts a large key through float64
+        a = RandomStream(2**64 - 1).uniforms(8)
+        b = RandomStream(2**64 - 2).uniforms(8)
+        assert not np.array_equal(a, b)
+        assert RandomStream(-1).seed == 2**64 - 1
+        assert np.array_equal(RandomStream(-1).uniforms(8), a)
+        sub = RandomStream(7).substream(1)
+    assert sub._salt == 0xCD73FE3DE975AC26  # at or above 2^63
+    key = sub._gen.bit_generator.state["state"]["key"]
+    assert [int(k) for k in key] == [7, sub._salt]
 
 
 def test_substreams_are_independent_of_consumption():

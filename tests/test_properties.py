@@ -30,7 +30,14 @@ from cavity_bell.dynamics import (
     timing_sensitivity,
 )
 from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
-from cavity_bell.fock import TwoCavityState, expectation, joint, pair_expectation
+from cavity_bell.fock import (
+    TwoCavityState,
+    expectation,
+    identity,
+    joint,
+    pair_expectation,
+    quadrature,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -106,6 +113,18 @@ def test_pair_expectation_matches_joint_operator(p1, phi1, p2, phi2, cutoff, par
     reference = joint(op1, op2)
     for row, value in zip(stack, got):
         assert abs(value - expectation(reference, TwoCavityState(row))) <= 1e-12
+
+
+@SETTINGS
+@given(probability, probability, angle, angle, weight, n_max)
+def test_field_moments_equal_joint_operator_exactly(p1, p2, t1, t2, eta, cutoff):
+    # covariance prints its operator values to 12 digits, tiny nonzero
+    # residues included, so the contraction must reproduce the kron bytes
+    state = entangled_gbs_state(EntangledGbsParams(p1, p2, t1, t2, eta), cutoff)
+    field, one = quadrature(cutoff), identity(cutoff)
+    for op1, op2 in ((field, one), (one, field), (field, field)):
+        want = expectation(joint(op1, op2), state)
+        assert pair_expectation(op1, op2, state.amplitudes) == want
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
