@@ -91,6 +91,8 @@ class BellConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if name == "eta" and not math.isfinite(value * value):
+                raise ValueError(f"eta must have a finite square, got {value!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
 

@@ -46,6 +46,9 @@ PROBE_PULSE_AREA = math.pi / 2.0
 #: fair-sampling assumption, for maximally entangled states: 2/(sqrt(2)+1).
 ALPHA_THRESHOLD = 2.0 / (math.sqrt(2.0) + 1.0)
 
+#: Largest shot count per setting: the multinomial counts are int64.
+MAX_SHOTS = 2**63 - 1
+
 
 def _jc_stack(gts: np.ndarray, n_max: int) -> np.ndarray:
     """Unitaries of resonant pulses as u[k, atom_out, n_out, atom_in, n_in], one per area gts[k].
@@ -228,6 +231,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
+        if self.shots > MAX_SHOTS:
+            raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots!r}")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in [0, 1]")
         if self.n_max < 1:
@@ -306,12 +311,20 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
     For each of the four angle settings the entangled state is generated,
     both cavities are probed, and the +-1 outcome product is recorded over
     cfg.shots shots. The outcome distribution per setting is fixed by the
-    protocol unitaries; shot i of setting s consumes draws 3i..3i+2 of the
-    stream substream(seed -> s), so results are reproducible and
-    independent of evaluation order. With detector efficiency below one,
-    each atom is detected independently with probability alpha and only
-    coincidences are kept (fair sampling); draws for undetected shots are
-    still consumed, so the same seed yields nested results across alpha.
+    protocol unitaries. With detector efficiency alpha, each atom is
+    detected independently with probability alpha and only coincidences
+    are kept (fair sampling).
+
+    The estimates depend only on how many shots fall in each cell
+    (q_a, q_b, d_a, d_b): probe outcomes q (0 = down = -1, 1 = up = +1)
+    and detections d (1 = detected). Setting s therefore makes one
+    multinomial draw of cfg.shots over these 16 cells, in C order of
+    (q_a, q_b, d_a, d_b) (cell 8 q_a + 4 q_b + 2 d_a + d_b), with
+    probabilities P(q_a, q_b) a(d_a) a(d_b), a(1) = alpha and
+    a(0) = 1 - alpha, from the stream substream(seed -> s). Results are
+    reproducible, independent of evaluation order, and take time and
+    memory independent of cfg.shots. Runs at different alpha share no
+    draws, so their results are not nested.
     """
     bell_cfg = cfg.bell
     if abs(bell_cfg.p - 0.5) > 1e-12:
@@ -321,6 +334,8 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
         )
     _, probs = _bell_protocol(bell_cfg, np.array([PROBE_PULSE_AREA]), cfg.n_max)
     alpha = cfg.detector_efficiency
+    detection = np.array([1.0 - alpha, alpha])
+    detection_cells = np.outer(detection, detection).ravel()  # (d_a, d_b)
     master = RandomStream(cfg.seed)
     products = np.array([1.0, -1.0, -1.0, 1.0])  # (down,down), (down,up), (up,down), (up,up)
     estimates = []
@@ -333,17 +348,15 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
                 f"outcome distribution at setting {index} is not a probability"
                 f" distribution: {flat.tolist()}"
             )
-        cumulative = np.cumsum(flat / total)
-        draws = master.substream(index).uniforms(3 * cfg.shots).reshape(cfg.shots, 3)
-        outcomes = products[np.minimum(np.searchsorted(cumulative, draws[:, 0], side="right"), 3)]
-        if alpha < 1.0:
-            detected = (draws[:, 1] < alpha) & (draws[:, 2] < alpha)
-            outcomes = outcomes[detected]
-        retained = outcomes.size
+        outcome_probs = np.maximum(flat, 0.0)  # entries down to -1e-12 are rounding
+        cells = np.outer(outcome_probs / outcome_probs.sum(), detection_cells)  # (q_a q_b, d_a d_b)
+        counts = master.substream(index).multinomial(cfg.shots, cells.ravel()).reshape(4, 4)
+        kept = counts[:, 3]  # d_a = d_b = 1
+        retained = int(kept.sum())
         discarded += cfg.shots - retained
         if retained == 0:
             raise RuntimeError(f"zero retained shots at setting {index}; cannot estimate")
-        correlation = float(outcomes.mean())
+        correlation = float(products @ kept / retained)
         std_error = math.sqrt(max(1.0 - correlation**2, 0.0) / retained)
         estimates.append(
             SettingEstimate(

@@ -28,8 +28,8 @@ from .fock import DEFAULT_N_MAX, TwoCavityState, identity, pair_expectation, qua
 class EntangledGbsParams:
     """Parameters (p1, p2, theta1, theta2, eta) of the two-cavity state.
 
-    eta is any finite real number, including negative values; only eta^2
-    enters the normalization.
+    eta is any real number with a finite square, including negative
+    values; only eta^2 enters the normalization.
     """
 
     p1: float
@@ -43,6 +43,8 @@ class EntangledGbsParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if name == "eta" and not math.isfinite(value * value):
+                raise ValueError(f"eta must have a finite square, got {value!r}")
             if name in ("p1", "p2") and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 

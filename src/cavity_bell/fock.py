@@ -223,7 +223,7 @@ def _mix64(x: int) -> int:
 
 
 class RandomStream:
-    """Reproducible uniform stream keyed by (seed, substream lineage).
+    """Reproducible random stream keyed by (seed, substream lineage).
 
     Counter-based Philox underneath: the draw sequence depends only on the
     seed and the chain of substream indices, never on what other streams
@@ -246,6 +246,15 @@ class RandomStream:
     def uniforms(self, count: int) -> np.ndarray:
         """Next ``count`` uniform draws as a vector."""
         return self._gen.random(int(count))
+
+    def multinomial(self, count: int, probabilities) -> np.ndarray:
+        """Counts of ``count`` independent draws over the given cells.
+
+        One multinomial draw: its cost does not depend on ``count``, which
+        must fit in int64. ``probabilities`` must be non-negative and sum
+        to 1.
+        """
+        return self._gen.multinomial(int(count), probabilities)
 
     def substream(self, index: int) -> "RandomStream":
         """Independent stream for branch ``index`` of this stream."""

@@ -221,18 +221,23 @@ def test_error_exit_codes(tmp_path, capsys):
         ["pscan", "maximal", "--step", "1e-9"],
         ["scan", "maximal", "--grid", "0:1:5e-324"],
         ["pscan", "maximal", "--step", "5e-324"],
-        # eta**2 overflows: an error line, not a traceback
-        ["covariance", "--eta", "1e200"],
-        ["covariance", "--eta=-1e155"],
-        ["simulate", "maximal", "--eta", "1e300", "--shots", "100"],
-        ["generate", "--eta", "1e300"],
-        ["pscan", "maximal", "--eta", "1e200"],
-        ["sensitivity", "maximal", "--eta", "1e200"],
     ]
-    for argv in failing:
+    # values past what the arithmetic holds are refused by name
+    named = [
+        # eta**2 overflows
+        (["covariance", "--eta", "1e200"], "eta"),
+        (["covariance", "--eta=-1e155"], "eta"),
+        (["simulate", "maximal", "--eta", "1e300", "--shots", "100"], "eta"),
+        (["generate", "--eta", "1e300"], "eta"),
+        (["pscan", "maximal", "--eta", "1e200"], "eta"),
+        (["sensitivity", "maximal", "--eta", "1e200"], "eta"),
+        # the multinomial counts are int64
+        (["simulate", "maximal", "--shots", str(2**63)], "shots"),
+    ]
+    for argv, field in [(argv, "") for argv in failing] + named:
         assert main(argv + ["--out", str(out)]) == 1, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1, err
     assert not out.exists()
     with pytest.raises(SystemExit):
         main(["scan", "unknown-preset", "--out", str(out)])

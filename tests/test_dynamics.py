@@ -1,11 +1,13 @@
 """Pulse unitaries, probe readout, state generation, Monte Carlo runs."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cavity_bell.bell import DichotomicParams, bell_function, preset_config
+from cavity_bell.bell import DichotomicParams, bell_correlation, bell_function, preset_config
 from cavity_bell.binomial import GbsParams, gbs_state, orthogonal_partner
 from cavity_bell.dynamics import (
     ALPHA_THRESHOLD,
@@ -169,7 +171,12 @@ def test_generation_with_empty_ground_branch():
 
 @pytest.mark.parametrize(
     "p1, p2, eta, field",
-    [(1.5, 0.5, 1.0, "p1"), (0.5, -0.2, 1.0, "p2"), (0.5, 0.5, math.nan, "eta")],
+    [
+        (1.5, 0.5, 1.0, "p1"),
+        (0.5, -0.2, 1.0, "p2"),
+        (0.5, 0.5, math.nan, "eta"),
+        (0.5, 0.5, -1e155, "eta"),  # eta**2 overflows
+    ],
 )
 def test_generation_refuses_bad_parameters(p1, p2, eta, field):
     # out-of-range p used to be clamped into a made-up state
@@ -215,6 +222,42 @@ def test_experiment_fair_sampling_losses():
     assert est.discarded_shots == 4 * 40000 - sum(s.retained for s in est.settings)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_experiment_settings_track_closed_form(alpha):
+    cfg = preset_config("maximal", 1.0)
+    shots = 40000
+    est = run_bell_experiment(
+        ExperimentConfig(bell=cfg, shots=shots, seed=2718, detector_efficiency=alpha)
+    )
+    kept = alpha**2
+    for setting in est.settings:
+        # each atom is detected with probability alpha
+        assert abs(setting.retained / shots - kept) <= 4 * math.sqrt(kept * (1 - kept) / shots)
+        want = bell_correlation(cfg, setting.phi_a, setting.phi_b)
+        assert abs(setting.correlation - want) <= 4 * setting.std_error
+    assert est.discarded_shots == 4 * shots - sum(s.retained for s in est.settings)
+    if alpha == 1.0:
+        assert est.discarded_shots == 0
+
+
+def test_experiment_cost_is_independent_of_shots():
+    cfg = ExperimentConfig(
+        bell=preset_config("maximal", 1.0), shots=10**12, seed=5, detector_efficiency=0.9
+    )
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        est = run_bell_experiment(cfg)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5.0
+    assert peak < 2**20
+    assert est.discarded_shots == 4 * 10**12 - sum(s.retained for s in est.settings)
+    assert abs(est.s_b_hat - 2 * math.sqrt(2)) <= 5 * est.std_error
+
+
 def test_experiment_warns_away_from_half():
     cfg = preset_config("maximal", 1.0, p=0.3)
     with pytest.warns(UserWarning):
@@ -227,6 +270,10 @@ def test_experiment_config_validation():
         ExperimentConfig(bell=bell, shots=0, seed=1)
     with pytest.raises(ValueError):
         ExperimentConfig(bell=bell, shots=100, seed=1, detector_efficiency=1.2)
+    # the sampler counts shots in int64
+    ExperimentConfig(bell=bell, shots=2**63 - 1, seed=1)
+    with pytest.raises(ValueError, match="^shots must"):
+        ExperimentConfig(bell=bell, shots=2**63, seed=1)
 
 
 def test_detection_threshold():

@@ -127,13 +127,27 @@ def test_random_stream_keys_keep_all_64_bits():
     assert [int(k) for k in key] == [7, sub._salt]
 
 
+def test_random_stream_multinomial():
+    cells = [0.1, 0.0, 0.6, 0.3]
+    a = RandomStream(21).multinomial(10**6, cells)
+    assert np.array_equal(a, RandomStream(21).multinomial(10**6, cells))
+    assert not np.array_equal(a, RandomStream(22).multinomial(10**6, cells))
+    assert a.sum() == 10**6 and a[1] == 0
+    # the cost does not depend on the count, up to the int64 limit
+    assert RandomStream(21).multinomial(2**63 - 1, cells).sum() == 2**63 - 1
+
+
 def test_substreams_are_independent_of_consumption():
     # drawing from the parent must not shift what a substream produces
     r1 = RandomStream(9)
     r1.uniforms(17)
+    r1.multinomial(1000, [0.5, 0.5])
     sub_after = r1.substream(3).uniforms(8)
     sub_fresh = RandomStream(9).substream(3).uniforms(8)
     assert np.array_equal(sub_after, sub_fresh)
+    counts_after = r1.substream(3).multinomial(1000, [0.2, 0.3, 0.5])
+    counts_fresh = RandomStream(9).substream(3).multinomial(1000, [0.2, 0.3, 0.5])
+    assert np.array_equal(counts_after, counts_fresh)
     # distinct indices give distinct streams
     other = RandomStream(9).substream(4).uniforms(8)
     assert not np.array_equal(sub_fresh, other)
