@@ -7,124 +7,53 @@ them. Closed forms and protocol unitaries are kept side by side so every
 number can be checked two independent ways.
 """
 
-from .bell import (
-    BellConfig,
-    DichotomicParams,
-    analytic_s_b,
-    angle_preset,
-    bell_correlation,
-    bell_function,
-    bell_function_at_half,
-    bell_function_operator,
-    degree_of_entanglement,
-    dichotomic_eigenstates,
-    dichotomic_operator,
-    eta_for_degree,
-    optimal_p_scan,
-    preset_config,
-    violation_threshold,
-)
-from .binomial import (
-    BinomialParams,
-    GbsParams,
-    binomial_overlap,
-    binomial_state,
-    gbs_state,
-    orthogonal_partner,
-    wrap_angle,
-)
-from .dynamics import (
-    ALPHA_THRESHOLD,
-    BellEstimate,
-    DetectionReport,
-    ExperimentConfig,
-    GenerationResult,
-    InitialAtomPair,
-    SensitivityRow,
-    detection_threshold_check,
-    generate_entangled_gbs,
-    probe_measure,
-    run_bell_experiment,
-    timing_sensitivity,
-)
-from .fields import (
-    EntangledGbsParams,
-    FieldStats,
-    entangled_gbs_state,
-    field_correlation,
-    field_covariance,
-    field_expectation,
-)
-from .fock import (
-    DEFAULT_N_MAX,
-    FieldOperator,
-    RandomStream,
-    StateVector,
-    TwoCavityState,
-    annihilation,
-    creation,
-    expectation,
-    fidelity,
-    inner,
-    number_operator,
-    quadrature,
-    tensor,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA_THRESHOLD",
-    "BellConfig",
-    "BellEstimate",
-    "BinomialParams",
-    "DEFAULT_N_MAX",
-    "DetectionReport",
-    "DichotomicParams",
-    "EntangledGbsParams",
-    "ExperimentConfig",
-    "FieldOperator",
-    "FieldStats",
-    "GbsParams",
-    "GenerationResult",
-    "InitialAtomPair",
-    "RandomStream",
-    "SensitivityRow",
-    "StateVector",
-    "TwoCavityState",
-    "analytic_s_b",
-    "angle_preset",
-    "annihilation",
-    "bell_correlation",
-    "bell_function",
-    "bell_function_at_half",
-    "bell_function_operator",
-    "binomial_overlap",
-    "binomial_state",
-    "creation",
-    "degree_of_entanglement",
-    "detection_threshold_check",
-    "dichotomic_eigenstates",
-    "dichotomic_operator",
-    "entangled_gbs_state",
-    "eta_for_degree",
-    "expectation",
-    "fidelity",
-    "field_correlation",
-    "field_covariance",
-    "field_expectation",
-    "gbs_state",
-    "generate_entangled_gbs",
-    "inner",
-    "number_operator",
-    "optimal_p_scan",
-    "orthogonal_partner",
-    "preset_config",
-    "probe_measure",
-    "quadrature",
-    "run_bell_experiment",
-    "tensor",
-    "timing_sensitivity",
-    "violation_threshold",
-    "wrap_angle",
-]
+#: The public names, by the submodule that defines them. A name is imported
+#: from its submodule on first access, so ``import cavity_bell`` and the
+#: command-line parser load no numpy; ``from cavity_bell import *`` loads all.
+_EXPORTS = {
+    "bell": (
+        "BellConfig", "DichotomicParams", "analytic_s_b", "angle_preset",
+        "bell_correlation", "bell_function", "bell_function_at_half",
+        "bell_function_operator", "degree_of_entanglement", "dichotomic_eigenstates",
+        "dichotomic_operator", "eta_for_degree", "optimal_p_scan", "preset_config",
+        "violation_threshold",
+    ),
+    "binomial": (
+        "BinomialParams", "GbsParams", "binomial_overlap", "binomial_state", "gbs_state",
+        "orthogonal_partner", "wrap_angle",
+    ),
+    "constants": ("DEFAULT_N_MAX",),
+    "dynamics": (
+        "ALPHA_THRESHOLD", "BellEstimate", "DetectionReport", "ExperimentConfig",
+        "GenerationResult", "InitialAtomPair", "SensitivityRow", "detection_threshold_check",
+        "generate_entangled_gbs", "probe_measure", "run_bell_experiment", "timing_sensitivity",
+    ),
+    "fields": (
+        "EntangledGbsParams", "FieldStats", "entangled_gbs_state", "field_correlation",
+        "field_covariance", "field_expectation",
+    ),
+    "fock": (
+        "FieldOperator", "RandomStream", "StateVector", "TwoCavityState", "annihilation",
+        "creation", "expectation", "fidelity", "inner", "number_operator", "quadrature",
+        "tensor",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -25,21 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import GbsParams, gbs_state, orthogonal_partner
+from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle
+from .constants import MAX_GRID_POINTS, PRESETS
 from .fields import EntangledGbsParams, entangled_branches, entangled_gbs_state, norm_const
 from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, StateVector, pair_expectation
-
-PRESETS = ("maximal", "wide")
 
 # Violation thresholds on G: below these the preset cannot push S_B past 2.
 G_MIN_MAXIMAL = math.sqrt(2.0) - 1.0
 G_MIN_WIDE = 1.0 / 3.0
 
 _DEGENERATE_TOL = 1e-12
-
-#: Largest number of points a p grid or a command-line grid may have; a grid
-#: is refused before anything is allocated for it.
-MAX_GRID_POINTS = 10**7
 
 #: Complex amplitudes per block of a batched evaluation (64 KiB). A block
 #: takes as many grid points as fit, and at least one, so the working arrays
@@ -75,7 +70,8 @@ class BellConfig:
 
     p and theta select the measured basis family and the state phase, eta
     the entanglement weight, and the four angles are the two settings per
-    cavity entering the CHSH combination.
+    cavity entering the CHSH combination. All five angles are stored
+    through reduce_angle, like the state phases of EntangledGbsParams.
     """
 
     p: float
@@ -95,6 +91,8 @@ class BellConfig:
                 raise ValueError(f"eta must have a finite square, got {value!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        for name in ("theta", "phi1", "phi2", "phi1_prime", "phi2_prime"):
+            object.__setattr__(self, name, reduce_angle(getattr(self, name)))
 
     @property
     def settings(self) -> tuple[tuple[float, float], ...]:
@@ -338,7 +336,10 @@ def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[
     "wide": phi1 = phi2 = theta, phi1' = theta+pi/3 and phi2' = theta-(2pi/3)
     for non-negative eta (mirrored for negative eta), reaching
     S_B = 7/4 + 3G/4 with the widest violation interval, G > 1/3.
+    The ladder starts at reduce_angle(theta), the phase BellConfig keeps,
+    so no offset is lost to rounding at large |theta|.
     """
+    theta = reduce_angle(theta)
     if kind == "maximal":
         return (theta, theta + math.pi / 4.0, theta + math.pi / 2.0, theta + 3.0 * math.pi / 4.0)
     if kind == "wide":
@@ -386,7 +387,9 @@ def bell_function_vs_p(
     if not np.all((ps >= 0.0) & (ps <= 1.0)):  # also refuses NaN
         raise ValueError("p must lie in [0, 1] at every grid point")
     config = BellConfig(0.5, theta, eta, *angles)  # checks theta, eta and the angles
-    return chsh(*(_correlation(ps, theta, eta, phi_a, phi_b) for phi_a, phi_b in config.settings))
+    return chsh(
+        *(_correlation(ps, config.theta, eta, phi_a, phi_b) for phi_a, phi_b in config.settings)
+    )
 
 
 def p_grid(step: float) -> np.ndarray:

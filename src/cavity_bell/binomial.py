@@ -35,6 +35,18 @@ def wrap_angle(x: float) -> float:
     return w
 
 
+def reduce_angle(x: float) -> float:
+    """``x`` itself within one turn of zero, else ``wrap_angle(x)``.
+
+    Closed forms take sin and cos of the float x, reduced exactly; the
+    Bernoulli states carry wrap_angle(x), reduced with the float 2 pi. The
+    two drift apart by about |x| * 2.4e-16 rad, so state and setting angles
+    beyond a turn are wrapped before either route sees them. Within a turn
+    the drift is rounding, and x is kept as given.
+    """
+    return x if abs(x) <= math.tau else wrap_angle(x)
+
+
 def _set_p_phi(params) -> None:
     """Check and store the (p, phi) pair of BinomialParams or GbsParams.
 

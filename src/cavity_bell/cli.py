@@ -16,48 +16,22 @@ reproduced byte-identically. Angles accept plain radians or
 multiples of pi such as "0.25pi". CSV output uses '.' decimals, twelve
 significant digits, LF line endings and a header row. Negative values of
 option arguments need the = form, e.g. --theta2=-0.3pi.
+
+This module imports only the standard library and ``constants``, so
+``--help``, ``<command> --help`` and usage errors never load numpy or the
+physics layer. ``main`` loads that layer once the arguments parse, all five
+modules for every command, and each handler imports the names it calls
+from their defining modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .bell import (
-    MAX_GRID_POINTS,
-    PRESETS,
-    analytic_s_b,
-    angle_preset,
-    bell_function,
-    bell_function_operator_vs_eta,
-    bell_function_vs_p,
-    eta_for_degree,
-    p_argmax,
-    p_grid,
-    preset_config,
-    violation_threshold,
-)
-from .dynamics import (
-    ExperimentConfig,
-    InitialAtomPair,
-    detection_threshold_check,
-    generate_entangled_gbs,
-    run_bell_experiment,
-    timing_sensitivity,
-)
-from .fields import (
-    EntangledGbsParams,
-    entangled_gbs_state,
-    field_correlation_operator,
-    field_covariance,
-    field_expectation_operator,
-)
-from .fock import DEFAULT_N_MAX, fidelity
+from .constants import DEFAULT_N_MAX, MAX_GRID_POINTS, PRESETS
 
 
 def parse_angle(text: str) -> float:
@@ -119,6 +93,8 @@ def _format_param(value) -> str:
 
 def _write_csv(path: str, header: str, columns) -> None:
     """Write equal-length columns as CSV rows with the precision of ``fmt``."""
+    import numpy as np
+
     columns = [np.asarray(column, dtype=float) + 0.0 for column in columns]  # as in fmt
     row = ",".join(["%.12g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -155,7 +131,7 @@ def write_manifest(args, results: dict | None = None) -> None:
 
 
 #: Options of the two-cavity state, in EntangledGbsParams field order.
-STATE_OPTIONS = tuple(field.name for field in dataclasses.fields(EntangledGbsParams))
+STATE_OPTIONS = ("p1", "p2", "theta1", "theta2", "eta")
 #: Options of a Bell run at a preset, in preset_config order.
 BELL_RUN_OPTIONS = ("preset", "eta", "p", "theta")
 
@@ -165,15 +141,23 @@ def _echo(args, names) -> list:
     return [(name, getattr(args, name)) for name in names]
 
 
-def _state_params(args) -> EntangledGbsParams:
+def _state_params(args):
+    from .fields import EntangledGbsParams
+
     return EntangledGbsParams(**dict(_echo(args, STATE_OPTIONS)))
 
 
 def _bell_config(args):
+    from .bell import preset_config
+
     return preset_config(args.preset, args.eta, p=args.p, theta=args.theta)
 
 
 def cmd_scan(args) -> int:
+    import numpy as np
+
+    from .bell import analytic_s_b, angle_preset, bell_function_operator_vs_eta, eta_for_degree
+
     grid = parse_grid(args.grid)
     if grid[0] < -1e-9 or grid[-1] > 1.0 + 1e-9:
         raise ValueError("G grid must lie within [0, 1]")
@@ -190,6 +174,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_pscan(args) -> int:
+    from .bell import angle_preset, bell_function_vs_p, p_argmax, p_grid
+
     angles = angle_preset(args.preset, args.theta, eta_sign=1.0 if args.eta >= 0 else -1.0)
     ps = p_grid(args.step)
     values = bell_function_vs_p(args.theta, args.eta, angles, ps)
@@ -202,6 +188,8 @@ def cmd_pscan(args) -> int:
 
 
 def cmd_covariance(args) -> int:
+    from .fields import field_correlation_operator, field_covariance, field_expectation_operator
+
     params = _state_params(args)
     stats = field_covariance(params)
     e1_op = field_expectation_operator(params, 1, args.n_max)
@@ -224,6 +212,9 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .bell import bell_function, violation_threshold
+    from .dynamics import ExperimentConfig, detection_threshold_check, run_bell_experiment
+
     if args.shots < 100:
         raise ValueError("shots must be at least 100")
     config = _bell_config(args)
@@ -265,6 +256,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .dynamics import InitialAtomPair, generate_entangled_gbs
+    from .fields import entangled_gbs_state
+    from .fock import fidelity
+
     params = _state_params(args)
     result = generate_entangled_gbs(
         InitialAtomPair(params.eta),
@@ -290,6 +285,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    from .dynamics import ExperimentConfig, timing_sensitivity
+
     epsilons = parse_value_list(args.epsilons)
     # The sweep draws no random numbers; shots and seed only fill the config.
     experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0, n_max=args.n_max)
@@ -378,6 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every command loads the whole physics layer, so whichever command runs,
+    # the same modules are loaded for a tracer to patch and the same memory
+    # is taken.
+    from . import bell, binomial, dynamics, fields, fock  # noqa: F401
+
     try:
         return args.handler(args)
     except (ValueError, RuntimeError, OverflowError) as exc:

@@ -341,11 +341,12 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
     estimates = []
     discarded = 0
     for index, (phi_a, phi_b) in enumerate(bell_cfg.settings):
+        number = index + 1  # settings are numbered from 1, as in the report keys
         flat = probs[0, index].ravel()
         total = flat.sum()
         if not (np.all(np.isfinite(flat)) and flat.min() >= -1e-12 and abs(total - 1.0) <= 1e-12):
             raise RuntimeError(
-                f"outcome distribution at setting {index} is not a probability"
+                f"outcome distribution at setting {number} is not a probability"
                 f" distribution: {flat.tolist()}"
             )
         outcome_probs = np.maximum(flat, 0.0)  # entries down to -1e-12 are rounding
@@ -355,7 +356,7 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
         retained = int(kept.sum())
         discarded += cfg.shots - retained
         if retained == 0:
-            raise RuntimeError(f"zero retained shots at setting {index}; cannot estimate")
+            raise RuntimeError(f"zero retained shots at setting {number}; cannot estimate")
         correlation = float(products @ kept / retained)
         std_error = math.sqrt(max(1.0 - correlation**2, 0.0) / retained)
         estimates.append(

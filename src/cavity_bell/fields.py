@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import GbsParams, gbs_state, orthogonal_partner
+from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle
 from .fock import DEFAULT_N_MAX, TwoCavityState, identity, pair_expectation, quadrature, tensor
 
 
@@ -29,7 +29,9 @@ class EntangledGbsParams:
     """Parameters (p1, p2, theta1, theta2, eta) of the two-cavity state.
 
     eta is any real number with a finite square, including negative
-    values; only eta^2 enters the normalization.
+    values; only eta^2 enters the normalization. theta1 and theta2 are
+    stored through reduce_angle, so the closed forms and the states see
+    one phase however large the input.
     """
 
     p1: float
@@ -47,6 +49,8 @@ class EntangledGbsParams:
                 raise ValueError(f"eta must have a finite square, got {value!r}")
             if name in ("p1", "p2") and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        for name in ("theta1", "theta2"):
+            object.__setattr__(self, name, reduce_angle(getattr(self, name)))
 
 
 def norm_const(eta):

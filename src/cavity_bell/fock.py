@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default Fock cutoff. Every state the protocols need lives in the span of
-# |0> and |1>; one spare level is kept so photon-number leakage surfaces as
-# a norm defect instead of wrapping around silently.
-DEFAULT_N_MAX = 2
+from .constants import DEFAULT_N_MAX
 
 NORM_TOL = 1e-12   # analytic identities (norms, hermiticity)
 

@@ -16,6 +16,7 @@ from cavity_bell.bell import (
     bell_function,
     bell_function_at_half,
     bell_function_operator,
+    bell_function_operator_vs_eta,
     bell_function_vs_p,
     degree_of_entanglement,
     dichotomic_eigenstates,
@@ -231,6 +232,33 @@ def test_presets_track_analytic_form_for_both_eta_signs():
             cfg = preset_config(kind, eta, theta=0.37)
             assert abs(bell_function(cfg) - analytic_s_b(kind, g)) < 1e-12
             assert abs(bell_function_operator(cfg) - analytic_s_b(kind, g)) < 1e-12
+
+
+@pytest.mark.parametrize("theta", (1e13, 1e17, -3e16))
+def test_closed_forms_match_operator_at_large_phase(theta):
+    # the preset ladder and the state phase both start from the wrapped theta
+    for kind in ("maximal", "wide"):
+        for eta in (1.0, 0.6, -0.6):
+            cfg = preset_config(kind, eta, p=0.3, theta=theta)
+            assert abs(cfg.theta) <= math.pi
+            assert abs(bell_function(cfg) - bell_function_operator(cfg)) < 1e-12
+            for phi_a, phi_b in cfg.settings:
+                operator = bell_correlation_operator(cfg, phi_a, phi_b)
+                assert abs(bell_correlation(cfg, phi_a, phi_b) - operator) < 1e-12
+            # the pscan closed form at the same point
+            angles = angle_preset(kind, theta, eta_sign=1.0 if eta >= 0 else -1.0)
+            (s_b,) = bell_function_vs_p(theta, eta, angles, [0.3])
+            assert abs(s_b - bell_function_operator(cfg)) < 1e-12
+        # the scan: analytic S_B(G) against the oracle at the preset angles
+        degrees = np.array([0.0, 0.5, 1.0])
+        s_b_operator = bell_function_operator_vs_eta(
+            0.5, theta, angle_preset(kind, theta), eta_for_degree(degrees)
+        )
+        assert np.max(np.abs(s_b_operator - analytic_s_b(kind, degrees))) < 1e-12
+    # settings given next to theta, far from zero, keep their offsets
+    for offsets in ((0.0, 0.0, 0.0, 0.0), (0.1, math.pi / 4, -2.0, 3 * math.pi / 4)):
+        cfg = BellConfig(0.4, theta, 0.8, *(theta + offset for offset in offsets))
+        assert abs(bell_function(cfg) - bell_function_operator(cfg)) < 1e-12
 
 
 def test_analytic_s_b_values_and_thresholds():

@@ -12,6 +12,7 @@ from cavity_bell.binomial import (
     binomial_state,
     gbs_state,
     orthogonal_partner,
+    reduce_angle,
     wrap_angle,
 )
 from cavity_bell.fock import inner
@@ -26,6 +27,13 @@ def test_wrap_angle_range():
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi
     assert wrap_angle(3 * math.pi) == math.pi
+
+
+def test_reduce_angle_keeps_angles_within_a_turn():
+    for x in (-2 * math.pi, -math.pi, 0.0, 0.7, 1.75 * math.pi, 2 * math.pi):
+        assert reduce_angle(x) == x
+    for x in (2 * math.pi + 1e-9, -7.0, 1e13, 1e17, -3e16):
+        assert reduce_angle(x) == wrap_angle(x)
 
 
 def test_binomial_amplitudes_match_definition():

@@ -1,12 +1,18 @@
 """Command-line interface: parsing, file formats, manifests, exit codes."""
 
+import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cavity_bell import cli
 from cavity_bell.cli import fmt, main, parse_angle, parse_grid, parse_value_list
+from cavity_bell.fields import EntangledGbsParams
 
 
 def read(path):
@@ -245,6 +251,58 @@ def test_error_exit_codes(tmp_path, capsys):
         main(["scan", "maximal"])  # --out is required
     with pytest.raises(SystemExit):
         main(["scan", "maximal", "--seed", "1", "--out", str(out)])  # seed is simulate-only
+
+
+def test_settings_are_numbered_from_one(tmp_path, capsys):
+    # as the report keys setting.1 ... setting.4
+    assert main(["simulate", "maximal", "--alpha", "0", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: zero retained shots at setting 1; cannot estimate\n"
+
+
+def test_state_options_follow_the_state_fields():
+    fields = tuple(field.name for field in dataclasses.fields(EntangledGbsParams))
+    assert cli.STATE_OPTIONS == fields
+
+
+PHYSICS = ("fock", "binomial", "fields", "bell", "dynamics")
+
+# Runs the command line as ``python -m cavity_bell.cli`` does, then prints
+# the exit code and the loaded modules.
+RUN_CLI = """
+import runpy, sys
+sys.argv = ["cavity-bell", *sys.argv[1:]]
+try:
+    runpy.run_module("cavity_bell.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code)
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(tmp_path, *argv):
+    """Exit code of a fresh ``cavity-bell argv`` process and the modules it loaded."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, modules = run.stdout.splitlines()[-2:]
+    return int(code), set(modules.split())
+
+
+def test_parser_loads_no_physics(tmp_path):
+    for argv, code in ((["--help"], 0), (["scan", "--help"], 0), (["scan", "maximal"], 2)):
+        got, modules = loaded_modules(tmp_path, *argv)
+        assert got == code, argv
+        assert "numpy" not in modules and "cavity_bell.bell" not in modules, argv
+
+
+def test_every_command_loads_the_physics_layer(tmp_path):
+    code, modules = loaded_modules(tmp_path, "pscan", "maximal", "--out", "p.csv")
+    assert code == 0
+    assert {f"cavity_bell.{name}" for name in PHYSICS} <= modules
 
 
 def test_memory_error_is_reported(tmp_path, monkeypatch, capsys):

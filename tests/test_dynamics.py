@@ -134,6 +134,22 @@ def test_generation_hits_target_state():
         assert abs(result.atom_probabilities[ATOM_DOWN, ATOM_DOWN] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("theta", (1e13, 1e17, -3e16))
+def test_protocol_is_exact_at_large_phase(theta):
+    # the Ramsey phases, the target state and the probe settings all use
+    # the phase wrapped to (-pi, pi]
+    result = generate_entangled_gbs(InitialAtomPair(0.7), 0.3, theta, 0.8, -0.4)
+    target = entangled_gbs_state(
+        EntangledGbsParams(p1=0.3, p2=0.8, theta1=theta, theta2=-0.4, eta=0.7)
+    )
+    assert abs(fidelity(result.field, target) - 1.0) < 1e-12
+    for kind in ("maximal", "wide"):
+        bell = preset_config(kind, 0.8, theta=theta)
+        (row,) = timing_sensitivity(ExperimentConfig(bell=bell, shots=1, seed=0), [0.0])
+        assert abs(row.fidelity - 1.0) < 1e-12
+        assert abs(row.s_b - bell_function(bell)) < 1e-12
+
+
 def test_generation_without_phase_reference():
     # an unreferenced atom pair reaches the target only up to the relative
     # phase of the two branches; the overlap follows a closed form in

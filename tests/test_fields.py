@@ -75,6 +75,23 @@ def test_correlation_and_covariance_match_operator():
         assert abs(field_correlation(params) - e12) < 1e-12
 
 
+# angles whose float value is far from its remainder mod 2 pi: the closed
+# forms and the states must reduce them the same way
+@pytest.mark.parametrize("theta", (1e13, 1e17, -3e16))
+def test_closed_forms_match_operator_at_large_phase(theta):
+    for theta1, theta2 in ((theta, 0.4), (-1.1, theta), (theta, 2.0 * theta)):
+        params = EntangledGbsParams(p1=0.3, p2=0.8, theta1=theta1, theta2=theta2, eta=0.7)
+        assert abs(params.theta1) <= math.pi and abs(params.theta2) <= math.pi
+        stats = field_covariance(params)
+        e1 = field_expectation_operator(params, 1)
+        e2 = field_expectation_operator(params, 2)
+        e12 = field_correlation_operator(params)
+        assert abs(stats.e1 - e1) < 1e-12
+        assert abs(stats.e2 - e2) < 1e-12
+        assert abs(stats.e1e2 - e12) < 1e-12
+        assert abs(stats.covariance - (e12 - e1 * e2)) < 1e-12
+
+
 def test_expectations_vanish_for_maximal_and_zero_entanglement():
     # the (1 - eta^2)/(1 + eta^2) damping kills <E_j> at |eta| = 1
     for eta in (1.0, -1.0):
