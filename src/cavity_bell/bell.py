@@ -286,12 +286,12 @@ def bell_function_operator_vs_eta(
     """
     etas = np.asarray(etas, dtype=float)
     config = BellConfig(p, theta, 0.0, *angles)  # checks p, theta and the angles
-    if not np.all(np.isfinite(etas)):
-        raise ValueError("eta must be finite")
     branch1, branch2 = entangled_branches(config.state_params, n_max)
     out = np.empty(etas.size)
     for block in blocks(etas.size, branch1.size):
         eta = etas[block, None, None]
+        if not np.all(np.isfinite(eta)):
+            raise ValueError("eta must be finite")
         amplitudes = norm_const(eta) * (branch1 + eta * branch2)
         norms = np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
         if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
@@ -380,16 +380,22 @@ def bell_function_vs_p(
 ) -> np.ndarray:
     """S_B evaluated over a vector of p values at fixed angles.
 
-    The closed form of bell_correlation runs once per setting on the whole
-    vector; the angle terms do not depend on p and stay scalars.
+    The closed form of bell_correlation runs once per setting on each block
+    of p values (see blocks) and fills one output vector, so the working
+    arrays do not grow with the grid; the angle terms do not depend on p
+    and stay scalars.
     """
     ps = np.asarray(p_values, dtype=float)
-    if not np.all((ps >= 0.0) & (ps <= 1.0)):  # also refuses NaN
-        raise ValueError("p must lie in [0, 1] at every grid point")
     config = BellConfig(0.5, theta, eta, *angles)  # checks theta, eta and the angles
-    return chsh(
-        *(_correlation(ps, config.theta, eta, phi_a, phi_b) for phi_a, phi_b in config.settings)
-    )
+    out = np.empty(ps.size)
+    for block in blocks(ps.size, 1):
+        p = ps[block]
+        if not np.all((p >= 0.0) & (p <= 1.0)):  # also refuses NaN
+            raise ValueError("p must lie in [0, 1] at every grid point")
+        out[block] = chsh(
+            *(_correlation(p, config.theta, eta, phi_a, phi_b) for phi_a, phi_b in config.settings)
+        )
+    return out
 
 
 def p_grid(step: float) -> np.ndarray:

@@ -51,8 +51,8 @@ def parse_angle(text: str) -> float:
     return float(t)
 
 
-def parse_grid(text: str) -> list[float]:
-    """Parse "start:stop:step" into the inclusive list of grid points."""
+def _grid_spec(text: str) -> tuple[float, float, int]:
+    """Check "start:stop:step"; return start, step and the number of grid points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:step, got {text!r}")
@@ -65,8 +65,13 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError("grid stop must not be below start")
     if not (stop - start) / step + 1.0 <= MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    count = int(math.floor((stop - start) / step + 1e-9))
-    return [start + i * step for i in range(count + 1)]
+    return start, step, int(math.floor((stop - start) / step + 1e-9)) + 1
+
+
+def parse_grid(text: str) -> list[float]:
+    """Parse "start:stop:step" into the inclusive list of grid points."""
+    start, step, count = _grid_spec(text)
+    return [start + i * step for i in range(count)]
 
 
 def parse_value_list(text: str) -> list[float]:
@@ -92,15 +97,25 @@ def _format_param(value) -> str:
 
 
 def _write_csv(path: str, header: str, columns) -> None:
-    """Write equal-length columns as CSV rows with the precision of ``fmt``."""
+    """Write equal-length columns as CSV rows with the precision of ``fmt``.
+
+    Rows are formatted a block at a time, with one ``%`` per block, so the
+    text in memory does not grow with the table. A cell in flight takes
+    about 75 bytes (two array slots, a float, a list and a tuple slot and
+    its text); it counts as eight 16-byte amplitudes in bell.blocks, so a
+    block of text takes at most about half of a kernel block.
+    """
     import numpy as np
 
-    columns = [np.asarray(column, dtype=float) + 0.0 for column in columns]  # as in fmt
+    from .bell import blocks
+
+    columns = [np.asarray(column, dtype=float) for column in columns]
     row = ",".join(["%.12g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(header + "\n")
-        for values in zip(*columns):
-            handle.write(row % values)
+        for block in blocks(len(columns[0]), 8 * len(columns)):
+            chunk = np.column_stack([column[block] for column in columns]) + 0.0  # as in fmt
+            handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_keyvalue(path: str, items) -> None:
@@ -156,20 +171,32 @@ def _bell_config(args):
 def cmd_scan(args) -> int:
     import numpy as np
 
-    from .bell import analytic_s_b, angle_preset, bell_function_operator_vs_eta, eta_for_degree
-
-    grid = parse_grid(args.grid)
-    if grid[0] < -1e-9 or grid[-1] > 1.0 + 1e-9:
-        raise ValueError("G grid must lie within [0, 1]")
-    degrees = np.clip(grid, 0.0, 1.0)
-    angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
-    s_b_operator = bell_function_operator_vs_eta(
-        0.5, args.theta, angles, eta_for_degree(degrees), args.n_max
+    from .bell import (
+        analytic_s_b,
+        angle_preset,
+        bell_function_operator_vs_eta,
+        blocks,
+        eta_for_degree,
     )
-    columns = (degrees, analytic_s_b(args.preset, degrees), s_b_operator)
-    _write_csv(args.out, "G,s_b_analytic,s_b_operator", columns)
+
+    start, step, count = _grid_spec(args.grid)
+    degrees = np.arange(count, dtype=float)  # the points of parse_grid, built in place
+    degrees *= step
+    degrees += start
+    if degrees[0] < -1e-9 or degrees[-1] > 1.0 + 1e-9:
+        raise ValueError("G grid must lie within [0, 1]")
+    np.clip(degrees, 0.0, 1.0, out=degrees)
+    angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
+    # The analytic column holds the weights eta until the oracle has read them.
+    analytic = np.empty(count)
+    for block in blocks(count, 1):
+        analytic[block] = eta_for_degree(degrees[block])
+    s_b_operator = bell_function_operator_vs_eta(0.5, args.theta, angles, analytic, args.n_max)
+    for block in blocks(count, 1):
+        analytic[block] = analytic_s_b(args.preset, degrees[block])
+    _write_csv(args.out, "G,s_b_analytic,s_b_operator", (degrees, analytic, s_b_operator))
     write_manifest(args)
-    print(f"wrote {args.out} ({len(grid)} rows)")
+    print(f"wrote {args.out} ({count} rows)")
     return 0
 
 
@@ -237,6 +264,7 @@ def cmd_simulate(args) -> int:
         ("violation_threshold", violation_threshold(args.preset)),
         ("discarded_shots", estimate.discarded_shots),
     ]
+    items += [(f"note.{key}", text) for key, text in estimate.notes]
     for index, setting in enumerate(estimate.settings, start=1):
         prefix = f"setting.{index}"
         items.extend(
@@ -285,13 +313,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    import numpy as np
+
     from .dynamics import ExperimentConfig, timing_sensitivity
 
     epsilons = parse_value_list(args.epsilons)
     # The sweep draws no random numbers; shots and seed only fill the config.
     experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0, n_max=args.n_max)
     rows = timing_sensitivity(experiment, epsilons)
-    columns = [[getattr(row, name) for row in rows] for name in ("epsilon", "fidelity", "s_b")]
+    columns = [
+        np.fromiter((getattr(row, name) for row in rows), float, len(rows))
+        for name in ("epsilon", "fidelity", "s_b")
+    ]
     _write_csv(args.out, "epsilon,fidelity,s_b", columns)
     write_manifest(args)
     print(f"wrote {args.out} ({len(rows)} rows)")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -253,12 +252,17 @@ class SettingEstimate:
 
 @dataclass(frozen=True)
 class BellEstimate:
-    """Monte Carlo estimate of the Bell function with its standard error."""
+    """Monte Carlo estimate of the Bell function with its standard error.
+
+    notes holds (key, text) pairs that qualify the run; a report prints
+    each as note.<key>.
+    """
 
     s_b_hat: float
     std_error: float
     settings: tuple[SettingEstimate, ...]
     discarded_shots: int
+    notes: tuple[tuple[str, str], ...] = ()
 
 
 def _probe_outcome_probabilities(
@@ -273,7 +277,8 @@ def _probe_outcome_probabilities(
     with the pulse unitaries ``pulses`` (one per row) and their Ramsey
     zones exactly as in probe_measure. Returns probs[k, s, q1, q2] for row
     k and setting s over the probe indices (0 = down = outcome -1,
-    1 = up = outcome +1).
+    1 = up = outcome +1). Settings that share phi_a in a row, as the four
+    CHSH settings do, share its rotation of the first probe.
     """
     d = joint.shape[-1]
     full = np.zeros((len(joint), 2, 2, 2, 2, d, d), dtype=complex)
@@ -282,10 +287,14 @@ def _probe_outcome_probabilities(
     full = _apply(full, pulses, (3, 5))
     theta = _mixing_angle(p)
     probs = np.empty((len(joint), len(settings), 2, 2))
+    rotated_phi = None
     for index, (phi_a, phi_b) in enumerate(settings):
-        out = _apply(full, _ramsey_matrix(theta, -phi_a), (2,))
-        out = _apply(out, _ramsey_matrix(theta, -phi_b), (3,))
+        if phi_a != rotated_phi:
+            rotated = _apply(full, _ramsey_matrix(theta, -phi_a), (2,))
+            rotated_phi = phi_a
+        out = _apply(rotated, _ramsey_matrix(theta, -phi_b), (3,))
         probs[:, index] = np.sum(np.abs(out) ** 2, axis=(1, 2, 5, 6))
+        del out  # so that the next output is made beside one rotated stack only
     return probs
 
 
@@ -324,14 +333,13 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
     a(0) = 1 - alpha, from the stream substream(seed -> s). Results are
     reproducible, independent of evaluation order, and take time and
     memory independent of cfg.shots. Runs at different alpha share no
-    draws, so their results are not nested.
+    draws, so their results are not nested. A run at p != 1/2 carries the
+    note "p".
     """
     bell_cfg = cfg.bell
+    notes = ()
     if abs(bell_cfg.p - 0.5) > 1e-12:
-        warnings.warn(
-            f"Bell violation is maximal at p = 1/2; running with p = {bell_cfg.p}",
-            stacklevel=2,
-        )
+        notes = (("p", "p is not 1/2, where the Bell violation is maximal"),)
     _, probs = _bell_protocol(bell_cfg, np.array([PROBE_PULSE_AREA]), cfg.n_max)
     alpha = cfg.detector_efficiency
     detection = np.array([1.0 - alpha, alpha])
@@ -376,6 +384,7 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
         std_error=std_error,
         settings=tuple(estimates),
         discarded_shots=discarded,
+        notes=notes,
     )
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,16 @@ def test_simulate_with_losses(tmp_path):
     assert report["alpha_above_threshold"] == "false"
     retained = int(report["setting.1.retained"])
     assert abs(retained - 4000 * 0.64) < 4 * math.sqrt(4000 * 0.64 * 0.36)
+
+
+def test_simulate_away_from_half_notes_it(tmp_path, capsys):
+    out = tmp_path / "p03.txt"
+    assert main(["simulate", "wide", "--p", "0.3", "--shots", "500", "--out", str(out)]) == 0
+    report = keyvalues(read(out))
+    assert report["note.p"] == "p is not 1/2, where the Bell violation is maximal"
+    assert capsys.readouterr().err == ""
+    assert main(["simulate", "wide", "--shots", "500", "--out", str(out)]) == 0
+    assert not any(key.startswith("note.") for key in keyvalues(read(out)))
 
 
 def test_sensitivity_table(tmp_path):
@@ -392,3 +403,51 @@ def test_manifest_reruns_are_byte_identical(tmp_path):
     m_a = [l for l in read(tmp_path / "m1.csv.manifest").splitlines() if "output" not in l]
     m_b = [l for l in read(tmp_path / "m2.csv.manifest").splitlines() if "output" not in l]
     assert m_a == m_b
+
+
+# One command line per grid command; the sensitivity lines cover p = 1/2 and
+# p != 1/2, and the probe stage with a vanishing weight.
+GRID_RUNS = {
+    "scan": ["scan", "wide", "--grid", "0:1:0.01", "--theta", "0.3pi"],
+    "pscan": ["pscan", "maximal", "--eta", "0.7", "--theta", "0.4", "--step", "0.005"],
+    "sensitivity-eta0": ["sensitivity", "maximal", "--eta", "0", "--epsilons=-0.4:0.4:0.01"],
+    "sensitivity-wide": ["sensitivity", "wide", "--p", "0.3", "--epsilons=-0.4:0.4:0.01"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_RUNS))
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command):
+    from cavity_bell import bell
+
+    digests = set()
+    for size in (1, 16, 256, bell.BLOCK_AMPLITUDES):
+        monkeypatch.setattr(bell, "BLOCK_AMPLITUDES", size)
+        out = tmp_path / f"out{size}"
+        assert main(GRID_RUNS[command] + ["--out", str(out)]) == 0
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, bytes_per_row",
+    [
+        # one 8-byte vector per CSV column, p and s_b
+        (["pscan", "maximal", "--step", "2e-5"], 16),
+        # G, s_b_analytic and s_b_operator; the smallest cutoff keeps the oracle quick
+        (["scan", "maximal", "--grid", "0:1:2e-5", "--n-max", "1"], 24),
+    ],
+    ids=["pscan", "scan"],
+)
+def test_grid_memory_is_one_vector_per_column(tmp_path, argv, bytes_per_row):
+    # a run on the default grid loads the physics layer before tracing starts
+    assert main(argv[:2] + ["--out", str(tmp_path / "small.csv")]) == 0
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = len(read(out).splitlines()) - 1
+    assert rows == 50001
+    assert peak <= 2**20 + bytes_per_row * rows, peak

@@ -275,9 +275,12 @@ def test_experiment_cost_is_independent_of_shots():
 
 
 def test_experiment_warns_away_from_half():
+    # the warning is a note of the estimate, which simulate prints as note.p
     cfg = preset_config("maximal", 1.0, p=0.3)
-    with pytest.warns(UserWarning):
-        run_bell_experiment(ExperimentConfig(bell=cfg, shots=500, seed=1))
+    est = run_bell_experiment(ExperimentConfig(bell=cfg, shots=500, seed=1))
+    assert est.notes == (("p", "p is not 1/2, where the Bell violation is maximal"),)
+    cfg = preset_config("maximal", 1.0)
+    assert run_bell_experiment(ExperimentConfig(bell=cfg, shots=500, seed=1)).notes == ()
 
 
 def test_experiment_config_validation():
