@@ -125,20 +125,21 @@ def _write_keyvalue(path: str, items) -> None:
 
 
 #: Parsed options that are not ``param.*`` manifest lines: the subcommand and
-#: its handler, and the three options the manifest records on lines of their own.
-_NOT_PARAMS = frozenset({"command", "handler", "n_max", "out", "seed"})
+#: its handler, and the two options the manifest records on lines of their own.
+_NOT_PARAMS = frozenset({"command", "handler", "out", "seed"})
 
 
 def write_manifest(args, results: dict | None = None) -> None:
     """Write the run manifest next to the output file.
 
     Every parsed option of the command except _NOT_PARAMS is one param.* line.
+    The n_max line records the fixed Fock cutoff every command runs at.
     """
     params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
     items = [("command", args.command), ("version", __version__)]
     if "seed" in args:
         items.append(("seed", args.seed))
-    items.append(("n_max", args.n_max))
+    items.append(("n_max", DEFAULT_N_MAX))
     items += [(f"param.{key}", params[key]) for key in sorted(params)]
     items.append(("output", args.out))
     items += [(f"result.{key}", value) for key, value in sorted((results or {}).items())]
@@ -191,7 +192,7 @@ def cmd_scan(args) -> int:
     analytic = np.empty(count)
     for block in blocks(count, 1):
         analytic[block] = eta_for_degree(degrees[block])
-    s_b_operator = bell_function_operator_vs_eta(0.5, args.theta, angles, analytic, args.n_max)
+    s_b_operator = bell_function_operator_vs_eta(0.5, args.theta, angles, analytic)
     for block in blocks(count, 1):
         analytic[block] = analytic_s_b(args.preset, degrees[block])
     _write_csv(args.out, "G,s_b_analytic,s_b_operator", (degrees, analytic, s_b_operator))
@@ -219,9 +220,9 @@ def cmd_covariance(args) -> int:
 
     params = _state_params(args)
     stats = field_covariance(params)
-    e1_op = field_expectation_operator(params, 1, args.n_max)
-    e2_op = field_expectation_operator(params, 2, args.n_max)
-    e1e2_op = field_correlation_operator(params, args.n_max)
+    e1_op = field_expectation_operator(params, 1)
+    e2_op = field_expectation_operator(params, 2)
+    e1e2_op = field_correlation_operator(params)
     items = _echo(args, STATE_OPTIONS) + [
         ("e1_analytic", stats.e1),
         ("e1_operator", e1_op),
@@ -250,7 +251,6 @@ def cmd_simulate(args) -> int:
         shots=args.shots,
         seed=args.seed,
         detector_efficiency=args.alpha,
-        n_max=args.n_max,
     )
     estimate = run_bell_experiment(experiment)
     analytic = bell_function(config)
@@ -295,9 +295,8 @@ def cmd_generate(args) -> int:
         params.theta1,
         params.p2,
         params.theta2,
-        n_max=args.n_max,
     )
-    fid = fidelity(result.field, entangled_gbs_state(params, args.n_max))
+    fid = fidelity(result.field, entangled_gbs_state(params))
     probs = result.atom_probabilities
     items = _echo(args, STATE_OPTIONS) + [
         ("fidelity", fid),
@@ -319,7 +318,7 @@ def cmd_sensitivity(args) -> int:
 
     epsilons = parse_value_list(args.epsilons)
     # The sweep draws no random numbers; shots and seed only fill the config.
-    experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0, n_max=args.n_max)
+    experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0)
     rows = timing_sensitivity(experiment, epsilons)
     columns = [
         np.fromiter((getattr(row, name) for row in rows), float, len(rows))
@@ -337,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entangled two-cavity Bernoulli states: Bell scans and protocol simulation.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--n-max",
-        type=int,
-        default=DEFAULT_N_MAX,
-        dest="n_max",
-        help=f"Fock-space cutoff (default {DEFAULT_N_MAX})",
-    )
     common.add_argument("--out", required=True, help="output file path")
     state = argparse.ArgumentParser(add_help=False)  # STATE_OPTIONS
     state.add_argument("--p1", type=float, default=0.5)

@@ -225,7 +225,6 @@ class ExperimentConfig:
     shots: int
     seed: int
     detector_efficiency: float = 1.0
-    n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
         if self.shots < 1:
@@ -234,8 +233,6 @@ class ExperimentConfig:
             raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots!r}")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in [0, 1]")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max!r}")
 
 
 @dataclass(frozen=True)
@@ -265,26 +262,34 @@ class BellEstimate:
     notes: tuple[tuple[str, str], ...] = ()
 
 
-def _probe_outcome_probabilities(
-    joint: np.ndarray, pulses: np.ndarray, p: float, settings
-) -> np.ndarray:
-    """Joint probe-atom outcome probabilities for each pair of settings.
+def _probe_pulses(joint: np.ndarray, pulses: np.ndarray) -> np.ndarray:
+    """Amplitudes (batch, atom1, atom2, probe1, probe2, field1, field2) after probing.
 
     ``joint`` holds (batch, atom1, atom2, field1, field2) amplitudes
-    straight from the generation stage; the generation atoms are kept in
-    the sum, which is the same as tracing them out, so no conditioning on
-    their state is assumed. Fresh ground-state probes cross the cavities
-    with the pulse unitaries ``pulses`` (one per row) and their Ramsey
-    zones exactly as in probe_measure. Returns probs[k, s, q1, q2] for row
-    k and setting s over the probe indices (0 = down = outcome -1,
-    1 = up = outcome +1). Settings that share phi_a in a row, as the four
-    CHSH settings do, share its rotation of the first probe.
+    straight from the generation stage. Fresh ground-state probes cross the
+    cavities with the pulse unitaries ``pulses`` (one per row).
     """
     d = joint.shape[-1]
     full = np.zeros((len(joint), 2, 2, 2, 2, d, d), dtype=complex)
     full[:, :, :, ATOM_DOWN, ATOM_DOWN] = joint
     full = _apply(full, pulses, (2, 4))
-    full = _apply(full, pulses, (3, 5))
+    return _apply(full, pulses, (3, 5))
+
+
+def _probe_outcome_probabilities(
+    joint: np.ndarray, pulses: np.ndarray, p: float, settings
+) -> np.ndarray:
+    """Joint probe-atom outcome probabilities for each pair of settings.
+
+    The probes cross the cavities as in _probe_pulses, then their Ramsey
+    zones exactly as in probe_measure. The generation atoms are kept in
+    the sum, which is the same as tracing them out, so no conditioning on
+    their state is assumed. Returns probs[k, s, q1, q2] for row k and
+    setting s over the probe indices (0 = down = outcome -1, 1 = up =
+    outcome +1). Settings that share phi_a in a row, as the four CHSH
+    settings do, share its rotation of the first probe.
+    """
+    full = _probe_pulses(joint, pulses)
     theta = _mixing_angle(p)
     probs = np.empty((len(joint), len(settings), 2, 2))
     rotated_phi = None
@@ -298,7 +303,7 @@ def _probe_outcome_probabilities(
     return probs
 
 
-def _bell_protocol(bell: BellConfig, gts: np.ndarray, n_max: int):
+def _bell_protocol(bell: BellConfig, gts: np.ndarray, n_max: int = DEFAULT_N_MAX):
     """Generate the symmetric state and probe it at the four settings.
 
     Every pulse of row k has area gts[k]. Returns the generated joint
@@ -340,7 +345,7 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
     notes = ()
     if abs(bell_cfg.p - 0.5) > 1e-12:
         notes = (("p", "p is not 1/2, where the Bell violation is maximal"),)
-    _, probs = _bell_protocol(bell_cfg, np.array([PROBE_PULSE_AREA]), cfg.n_max)
+    _, probs = _bell_protocol(bell_cfg, np.array([PROBE_PULSE_AREA]))
     alpha = cfg.detector_efficiency
     detection = np.array([1.0 - alpha, alpha])
     detection_cells = np.outer(detection, detection).ravel()  # (d_a, d_b)
@@ -440,12 +445,12 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> list[Sensitivi
     if outside.size:
         raise ValueError(f"relative timing error {float(outside[0])!r} outside (-0.5, 0.5)")
     bell_cfg = cfg.bell
-    target = entangled_gbs_state(bell_cfg.state_params, cfg.n_max)
+    target = entangled_gbs_state(bell_cfg.state_params)
     rows = []
     # the probe stage holds 16 amplitudes (atom1, atom2, probe1, probe2) per field entry
     for part in blocks(epsilons.size, 16 * target.amplitudes.size):
         block = epsilons[part]
-        joint, probs = _bell_protocol(bell_cfg, PROBE_PULSE_AREA * (1.0 + block), cfg.n_max)
+        joint, probs = _bell_protocol(bell_cfg, PROBE_PULSE_AREA * (1.0 + block))
         overlap = braket(target.amplitudes, joint[:, ATOM_DOWN, ATOM_DOWN])
         # hypot, not np.abs: it rounds like abs() on a single complex number.
         fidelity = np.hypot(overlap.real, overlap.imag) ** 2

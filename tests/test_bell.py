@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,21 @@ def test_closed_forms_match_operator_at_large_phase(theta):
     for offsets in ((0.0, 0.0, 0.0, 0.0), (0.1, math.pi / 4, -2.0, 3 * math.pi / 4)):
         cfg = BellConfig(0.4, theta, 0.8, *(theta + offset for offset in offsets))
         assert abs(bell_function(cfg) - bell_function_operator(cfg)) < 1e-12
+
+
+def test_scan_oracle_at_large_cutoff():
+    # the joint operator would take 16 * 201^4 bytes (26 GB) at this cutoff
+    degrees = np.array([0.0, 0.5, 1.0])
+    tracemalloc.start()
+    try:
+        s_b = bell_function_operator_vs_eta(
+            0.5, 0.0, angle_preset("maximal"), eta_for_degree(degrees), n_max=200
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(s_b - analytic_s_b("maximal", degrees))) <= 1e-12
+    assert peak <= 2**26, peak
 
 
 def test_analytic_s_b_values_and_thresholds():

@@ -216,11 +216,21 @@ def test_sensitivity_table(tmp_path):
     assert rows[0][2] == rows[2][2]
 
 
+#: The smallest valid command line of each command, without --out.
+COMMANDS = (
+    ["scan", "maximal"],
+    ["pscan", "maximal"],
+    ["covariance"],
+    ["simulate", "maximal"],
+    ["generate"],
+    ["sensitivity", "maximal"],
+)
+
+
 def test_error_exit_codes(tmp_path, capsys):
     out = tmp_path / "x"
     failing = [
         ["simulate", "maximal", "--shots", "50"],
-        ["simulate", "maximal", "--n-max", "0"],
         ["scan", "maximal", "--grid", "0:2:0.5"],
         ["pscan", "maximal", "--step", "0.3"],
         # non-finite inputs must fail instead of writing NaN or made-up rows
@@ -262,6 +272,19 @@ def test_error_exit_codes(tmp_path, capsys):
         main(["scan", "maximal"])  # --out is required
     with pytest.raises(SystemExit):
         main(["scan", "maximal", "--seed", "1", "--out", str(out)])  # seed is simulate-only
+    # the Fock cutoff is fixed (tests/test_properties.py::test_fock_cutoff_is_inert)
+    for command in COMMANDS:
+        with pytest.raises(SystemExit) as usage:
+            main(command + ["--n-max", "2", "--out", str(out)])
+        assert usage.value.code == 2
+
+
+def test_help_offers_no_cutoff(capsys):
+    for command in COMMANDS:
+        with pytest.raises(SystemExit) as done:
+            main(command[:1] + ["--help"])
+        assert done.value.code == 0
+        assert "--n-max" not in capsys.readouterr().out
 
 
 def test_settings_are_numbered_from_one(tmp_path, capsys):
@@ -371,27 +394,6 @@ def test_deterministic_outputs_are_golden(tmp_path, command):
     assert hashlib.sha256(manifest.encode()).hexdigest() == manifest_digest
 
 
-def test_scan_oracle_at_large_cutoff(tmp_path):
-    # the joint operator would take 16 * 201^4 bytes (26 GB) at this cutoff
-    out = tmp_path / "big.csv"
-    assert main(["scan", "maximal", "--n-max", "200", "--grid", "0:1:0.5", "--out", str(out)]) == 0
-    rows = [line.split(",") for line in read(out).splitlines()[1:]]
-    assert len(rows) == 3
-    assert max(abs(float(row[1]) - float(row[2])) for row in rows) <= 1e-10
-
-
-def test_covariance_at_large_cutoff(tmp_path):
-    # each joint operator would take 16 * 201^4 bytes (26 GB) at this cutoff
-    out = tmp_path / "big.txt"
-    argv = ["covariance", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
-            "--theta2=-0.3pi", "--eta=-0.7", "--n-max", "200", "--out", str(out)]
-    assert main(argv) == 0
-    report = keyvalues(read(out))
-    for name in ("e1", "e2", "e1e2", "covariance"):
-        analytic = float(report[f"{name}_analytic"])
-        assert abs(float(report[f"{name}_operator"]) - analytic) <= 1e-12, name
-
-
 def test_manifest_reruns_are_byte_identical(tmp_path):
     out_a = tmp_path / "m1.csv"
     out_b = tmp_path / "m2.csv"
@@ -433,8 +435,8 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command)
     [
         # one 8-byte vector per CSV column, p and s_b
         (["pscan", "maximal", "--step", "2e-5"], 16),
-        # G, s_b_analytic and s_b_operator; the smallest cutoff keeps the oracle quick
-        (["scan", "maximal", "--grid", "0:1:2e-5", "--n-max", "1"], 24),
+        # G, s_b_analytic and s_b_operator
+        (["scan", "maximal", "--grid", "0:1:2e-5"], 24),
     ],
     ids=["pscan", "scan"],
 )

@@ -324,6 +324,26 @@ def test_timing_sensitivity_sweep():
         timing_sensitivity(cfg, [0.6])
 
 
+@pytest.mark.parametrize("kind", ("maximal", "wide"))
+def test_timing_sensitivity_closed_form(kind):
+    # Each pulse of area (pi/2)(1 + eps) moves a photon with amplitude
+    # s = cos(pi eps/2), so the ground-ground branch overlaps the target with
+    # sum w_mn s^(m+n), w_mn = |psi_mn|^2. At p = 1/2, S_B scales as s^4.
+    epsilons = np.linspace(-0.49, 0.49, 99)
+    s = np.cos(0.5 * math.pi * epsilons)
+    for p in (0.3, 0.5, 0.9):
+        for eta in (-0.4, 0.0, 0.7, 1.0, 2.5):
+            bell = preset_config(kind, eta, p=p, theta=0.4)
+            w = np.abs(entangled_gbs_state(bell.state_params).amplitudes) ** 2
+            rows = timing_sensitivity(ExperimentConfig(bell=bell, shots=1, seed=0), epsilons)
+            fidelity = np.array([row.fidelity for row in rows])
+            want = (w[0, 0] + (w[0, 1] + w[1, 0]) * s + w[1, 1] * s**2) ** 2
+            assert np.max(np.abs(fidelity - want)) <= 1e-12, (p, eta)
+            if p == 0.5:
+                s_b = np.array([row.s_b for row in rows])
+                assert np.max(np.abs(s_b - bell_function(bell) * s**4)) <= 1e-12, eta
+
+
 def test_outcome_distribution_is_checked_before_sampling(tmp_path, monkeypatch, capsys):
     from cavity_bell import dynamics
     from cavity_bell.cli import main

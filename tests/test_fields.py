@@ -1,6 +1,7 @@
 """Field statistics of the entangled two-cavity state vs operator oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,25 @@ def test_closed_forms_match_operator_at_large_phase(theta):
         assert abs(stats.e2 - e2) < 1e-12
         assert abs(stats.e1e2 - e12) < 1e-12
         assert abs(stats.covariance - (e12 - e1 * e2)) < 1e-12
+
+
+def test_covariance_at_large_cutoff():
+    # each joint operator would take 16 * 201^4 bytes (26 GB) at this cutoff
+    params = EntangledGbsParams(0.3, 0.8, 0.25 * math.pi, -0.3 * math.pi, -0.7)
+    tracemalloc.start()
+    try:
+        e1 = field_expectation_operator(params, 1, 200)
+        e2 = field_expectation_operator(params, 2, 200)
+        e12 = field_correlation_operator(params, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stats = field_covariance(params)
+    assert abs(stats.e1 - e1) <= 1e-12
+    assert abs(stats.e2 - e2) <= 1e-12
+    assert abs(stats.e1e2 - e12) <= 1e-12
+    assert abs(stats.covariance - (e12 - e1 * e2)) <= 1e-12
+    assert peak <= 2**26, peak
 
 
 def test_expectations_vanish_for_maximal_and_zero_entanglement():

@@ -24,15 +24,23 @@ from cavity_bell.bell import (
 )
 from cavity_bell.binomial import GbsParams
 from cavity_bell.dynamics import (
+    PROBE_PULSE_AREA,
     ExperimentConfig,
     InitialAtomPair,
     generate_entangled_gbs,
     timing_sensitivity,
 )
-from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
+from cavity_bell.dynamics import _bell_protocol, _jc_stack, _probe_pulses
+from cavity_bell.fields import (
+    EntangledGbsParams,
+    entangled_gbs_state,
+    field_correlation_operator,
+    field_expectation_operator,
+)
 from cavity_bell.fock import (
     TwoCavityState,
     expectation,
+    fidelity,
     identity,
     joint,
     pair_expectation,
@@ -143,7 +151,7 @@ def test_sensitivity_rows_equal_single_epsilon_calls(p, theta, eta, phis, epsilo
 
 def test_rows_across_blocks_equal_single_calls():
     # 100 rows span many blocks: 9 rows each for the oracle at n_max = 20,
-    # 16 rows each for the sweep at n_max = 3
+    # 28 rows each for the sweep at the default cutoff, so 4 blocks
     phis = (0.1, 0.9, 1.7, 2.6)
     etas = np.linspace(-2.0, 2.0, 100)
     batched = bell_function_operator_vs_eta(0.4, 0.3, phis, etas, 20)
@@ -151,7 +159,43 @@ def test_rows_across_blocks_equal_single_calls():
         value == bell_function_operator(config(0.4, 0.3, eta, phis), 20)
         for eta, value in zip(etas, batched)
     )
-    cfg = ExperimentConfig(bell=config(0.4, 0.3, 0.7, phis), shots=1, seed=0, n_max=3)
+    cfg = ExperimentConfig(bell=config(0.4, 0.3, 0.7, phis), shots=1, seed=0)
     epsilons = np.linspace(-0.3, 0.3, 100)
     rows = timing_sensitivity(cfg, epsilons)
     assert rows == [timing_sensitivity(cfg, [eps])[0] for eps in epsilons]
+
+
+@SETTINGS
+@given(
+    probability, probability, angle, angle, weight, angles,
+    st.lists(st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True), min_size=1, max_size=4),
+)
+def test_fock_cutoff_is_inert(p1, p2, t1, t2, eta, phis, epsilons):
+    # Bernoulli fields made in empty cavities and read by ground-state probes
+    # never leave the span of |0> and |1>, at any pulse area. Cutoffs only
+    # add zero terms, which can move a sum's rounding by a few ulp.
+    params = EntangledGbsParams(p1, p2, t1, t2, eta)
+    bell = config(p1, t1, eta, phis)
+    gts = PROBE_PULSE_AREA * (1.0 + np.asarray(epsilons))
+    results = []
+    for cutoff in (1, 2, 5):
+        joint, probs = _bell_protocol(bell, gts, cutoff)
+        for amplitudes in (joint, _probe_pulses(joint, _jc_stack(gts, cutoff))):
+            assert not np.any(amplitudes[..., 2:, :]) and not np.any(amplitudes[..., 2:])
+        generated = generate_entangled_gbs(InitialAtomPair(eta), p1, t1, p2, t2, n_max=cutoff)
+        results.append(
+            np.concatenate(
+                [
+                    bell_function_operator_vs_eta(p1, t1, phis, [eta], cutoff),
+                    [
+                        field_expectation_operator(params, 1, cutoff),
+                        field_expectation_operator(params, 2, cutoff),
+                        field_correlation_operator(params, cutoff),
+                        fidelity(generated.field, entangled_gbs_state(params, cutoff)),
+                    ],
+                    probs.ravel(),
+                ]
+            )
+        )
+    for result in results[1:]:
+        assert np.max(np.abs(result - results[0])) <= 1e-14
