@@ -29,7 +29,7 @@ _EXPORTS = {
     "constants": ("DEFAULT_N_MAX",),
     "dynamics": (
         "ALPHA_THRESHOLD", "BellEstimate", "DetectionReport", "ExperimentConfig",
-        "GenerationResult", "InitialAtomPair", "SensitivityRow", "detection_threshold_check",
+        "GenerationResult", "InitialAtomPair", "detection_threshold_check",
         "generate_entangled_gbs", "probe_measure", "run_bell_experiment", "timing_sensitivity",
     ),
     "fields": (

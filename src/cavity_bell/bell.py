@@ -315,17 +315,14 @@ def bell_function_at_half(config: BellConfig) -> float:
     if abs(config.p - 0.5) > 1e-12:
         raise ValueError("closed form requires p = 1/2")
     g = 2.0 * config.eta / (1.0 + config.eta**2)
-    a1 = config.phi1 - config.theta
-    a1p = config.phi1_prime - config.theta
-    b2 = config.phi2 - config.theta
-    b2p = config.phi2_prime - config.theta
-    term1 = g * math.sin(a1) * (math.sin(b2) - math.sin(b2p)) - math.cos(a1) * (
-        math.cos(b2) - math.cos(b2p)
+    theta = config.theta
+    return chsh(
+        *(
+            g * math.sin(phi_a - theta) * math.sin(phi_b - theta)
+            - math.cos(phi_a - theta) * math.cos(phi_b - theta)
+            for phi_a, phi_b in config.settings
+        )
     )
-    term2 = g * math.sin(a1p) * (math.sin(b2) + math.sin(b2p)) - math.cos(a1p) * (
-        math.cos(b2) + math.cos(b2p)
-    )
-    return abs(term1) + abs(term2)
 
 
 def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[float, float, float, float]:

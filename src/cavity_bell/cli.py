@@ -51,8 +51,10 @@ def parse_angle(text: str) -> float:
     return float(t)
 
 
-def _grid_spec(text: str) -> tuple[float, float, int]:
-    """Check "start:stop:step"; return start, step and the number of grid points."""
+def parse_grid(text: str):
+    """Parse "start:stop:step" into the float64 vector of inclusive grid points."""
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:step, got {text!r}")
@@ -65,22 +67,23 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         raise ValueError("grid stop must not be below start")
     if not (stop - start) / step + 1.0 <= MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    return start, step, int(math.floor((stop - start) / step + 1e-9)) + 1
+    # start + i * step, built in place so that the grid is one vector
+    points = np.arange(int(math.floor((stop - start) / step + 1e-9)) + 1, dtype=float)
+    points *= step
+    points += start
+    return points
 
 
-def parse_grid(text: str) -> list[float]:
-    """Parse "start:stop:step" into the inclusive list of grid points."""
-    start, step, count = _grid_spec(text)
-    return [start + i * step for i in range(count)]
+def parse_value_list(text: str):
+    """Parse a grid spec or a comma list into a float64 vector."""
+    import numpy as np
 
-
-def parse_value_list(text: str) -> list[float]:
     if ":" in text:
         return parse_grid(text)
     values = [float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"no values in {text!r}")
-    return values
+    return np.array(values)
 
 
 def fmt(value: float) -> str:
@@ -180,10 +183,8 @@ def cmd_scan(args) -> int:
         eta_for_degree,
     )
 
-    start, step, count = _grid_spec(args.grid)
-    degrees = np.arange(count, dtype=float)  # the points of parse_grid, built in place
-    degrees *= step
-    degrees += start
+    degrees = parse_grid(args.grid)
+    count = len(degrees)
     if degrees[0] < -1e-9 or degrees[-1] > 1.0 + 1e-9:
         raise ValueError("G grid must lie within [0, 1]")
     np.clip(degrees, 0.0, 1.0, out=degrees)
@@ -312,19 +313,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    import numpy as np
-
     from .dynamics import ExperimentConfig, timing_sensitivity
 
     epsilons = parse_value_list(args.epsilons)
     # The sweep draws no random numbers; shots and seed only fill the config.
     experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0)
     rows = timing_sensitivity(experiment, epsilons)
-    columns = [
-        np.fromiter((getattr(row, name) for row in rows), float, len(rows))
-        for name in ("epsilon", "fidelity", "s_b")
-    ]
-    _write_csv(args.out, "epsilon,fidelity,s_b", columns)
+    _write_csv(args.out, "epsilon,fidelity,s_b", (rows.epsilon, rows.fidelity, rows.s_b))
     write_manifest(args)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

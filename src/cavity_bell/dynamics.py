@@ -350,7 +350,6 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
     detection = np.array([1.0 - alpha, alpha])
     detection_cells = np.outer(detection, detection).ravel()  # (d_a, d_b)
     master = RandomStream(cfg.seed)
-    products = np.array([1.0, -1.0, -1.0, 1.0])  # (down,down), (down,up), (up,down), (up,up)
     estimates = []
     discarded = 0
     for index, (phi_a, phi_b) in enumerate(bell_cfg.settings):
@@ -370,7 +369,9 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
         discarded += cfg.shots - retained
         if retained == 0:
             raise RuntimeError(f"zero retained shots at setting {number}; cannot estimate")
-        correlation = float(products @ kept / retained)
+        correlation = float(
+            _correlation_from_probs(kept.reshape(2, 2).astype(float)) / retained
+        )
         std_error = math.sqrt(max(1.0 - correlation**2, 0.0) / retained)
         estimates.append(
             SettingEstimate(
@@ -419,16 +420,7 @@ def detection_threshold_check(alpha: float) -> DetectionReport:
     )
 
 
-@dataclass(frozen=True)
-class SensitivityRow:
-    """Fidelity and exact Bell value at one relative timing error."""
-
-    epsilon: float
-    fidelity: float
-    s_b: float
-
-
-def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> list[SensitivityRow]:
+def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> np.recarray:
     """Propagate a pulse-timing error through generation and probing.
 
     Every pulse area becomes (pi/2)(1 + epsilon), modeling a velocity or
@@ -438,7 +430,8 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> list[Sensitivi
     operator-exact Bell value of the perturbed protocol at the configured
     angles. No sampling is involved. The sweep is symmetric under
     epsilon -> -epsilon. Each block of errors (see bell.blocks) runs through
-    generation and probing as one batch.
+    generation and probing as one batch. Returns one record per error, with
+    the fields epsilon, fidelity and s_b, which are also the three columns.
     """
     epsilons = np.asarray(relative_errors, dtype=float)
     outside = epsilons[~(np.abs(epsilons) < 0.5)]
@@ -446,17 +439,13 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> list[Sensitivi
         raise ValueError(f"relative timing error {float(outside[0])!r} outside (-0.5, 0.5)")
     bell_cfg = cfg.bell
     target = entangled_gbs_state(bell_cfg.state_params)
-    rows = []
+    rows = np.recarray(epsilons.size, [("epsilon", float), ("fidelity", float), ("s_b", float)])
+    rows.epsilon = epsilons
     # the probe stage holds 16 amplitudes (atom1, atom2, probe1, probe2) per field entry
     for part in blocks(epsilons.size, 16 * target.amplitudes.size):
-        block = epsilons[part]
-        joint, probs = _bell_protocol(bell_cfg, PROBE_PULSE_AREA * (1.0 + block))
+        joint, probs = _bell_protocol(bell_cfg, PROBE_PULSE_AREA * (1.0 + epsilons[part]))
         overlap = braket(target.amplitudes, joint[:, ATOM_DOWN, ATOM_DOWN])
         # hypot, not np.abs: it rounds like abs() on a single complex number.
-        fidelity = np.hypot(overlap.real, overlap.imag) ** 2
-        s_b = chsh(*_correlation_from_probs(probs).T)
-        rows.extend(
-            SensitivityRow(epsilon=float(e), fidelity=float(f), s_b=float(s))
-            for e, f, s in zip(block, fidelity, s_b)
-        )
+        rows.fidelity[part] = np.hypot(overlap.real, overlap.imag) ** 2
+        rows.s_b[part] = chsh(*_correlation_from_probs(probs).T)
     return rows

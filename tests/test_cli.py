@@ -42,7 +42,7 @@ def test_parse_angle():
 
 
 def test_parse_grid():
-    assert parse_grid("0:1:0.5") == [0.0, 0.5, 1.0]
+    assert parse_grid("0:1:0.5").tolist() == [0.0, 0.5, 1.0]
     assert len(parse_grid("0:1:0.05")) == 21
     with pytest.raises(ValueError):
         parse_grid("0:1")
@@ -50,8 +50,8 @@ def test_parse_grid():
         parse_grid("0:1:-0.5")
     with pytest.raises(ValueError):
         parse_grid("1:0:0.5")
-    assert parse_value_list("-0.01,0,0.01") == [-0.01, 0.0, 0.01]
-    assert parse_value_list("-0.02:0.02:0.02") == [-0.02, 0.0, 0.02]
+    assert parse_value_list("-0.01,0,0.01").tolist() == [-0.01, 0.0, 0.01]
+    assert parse_value_list("-0.02:0.02:0.02").tolist() == [-0.02, 0.0, 0.02]
 
 
 def test_fmt_normalizes_zero():
@@ -431,16 +431,18 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command)
 
 
 @pytest.mark.parametrize(
-    "argv, bytes_per_row",
+    "argv, rows, bytes_per_row",
     [
         # one 8-byte vector per CSV column, p and s_b
-        (["pscan", "maximal", "--step", "2e-5"], 16),
+        (["pscan", "maximal", "--step", "2e-5"], 50001, 16),
         # G, s_b_analytic and s_b_operator
-        (["scan", "maximal", "--grid", "0:1:2e-5"], 24),
+        (["scan", "maximal", "--grid", "0:1:2e-5"], 50001, 24),
+        # epsilon, fidelity and s_b
+        (["sensitivity", "maximal", "--eta", "0.7", "--epsilons=-0.4:0.4:8e-5"], 10001, 24),
     ],
-    ids=["pscan", "scan"],
+    ids=["pscan", "scan", "sensitivity"],
 )
-def test_grid_memory_is_one_vector_per_column(tmp_path, argv, bytes_per_row):
+def test_grid_memory_is_one_vector_per_column(tmp_path, argv, rows, bytes_per_row):
     # a run on the default grid loads the physics layer before tracing starts
     assert main(argv[:2] + ["--out", str(tmp_path / "small.csv")]) == 0
     out = tmp_path / "big.csv"
@@ -450,6 +452,5 @@ def test_grid_memory_is_one_vector_per_column(tmp_path, argv, bytes_per_row):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = len(read(out).splitlines()) - 1
-    assert rows == 50001
+    assert len(read(out).splitlines()) - 1 == rows
     assert peak <= 2**20 + bytes_per_row * rows, peak

@@ -95,7 +95,20 @@ def test_probe_deterministic_on_eigenstates():
         assert np.linalg.norm(post_m.amplitudes[1:]) < 1e-12
 
 
+class _FixedUniforms:
+    """A stand-in for RandomStream whose uniform() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def uniform(self):
+        return next(self._values)
+
+
 def test_probe_outcome_distribution_matches_spectrum():
+    # probe_measure reports +1 when its uniform draw lies below P(up). A draw
+    # just below the weight on |p, phi> must give +1 and one just above it
+    # -1, which pins P(up) to that weight within 1e-9.
     rng_params = np.random.default_rng(23)
     stream = RandomStream(8)
     for trial in range(8):
@@ -105,13 +118,17 @@ def test_probe_outcome_distribution_matches_spectrum():
         raw = rng_params.normal(size=2) + 1j * rng_params.normal(size=2)
         field = StateVector.normalized(np.concatenate([raw, [0.0]]))
         weight = abs(inner(gbs_state(GbsParams(p, phi), 2), field)) ** 2
-        shots = 4000
-        sub = stream.substream(trial)
-        hits = sum(
-            1 for i in range(shots) if probe_measure(field, d, sub.substream(i))[0] == 1
-        )
-        se = math.sqrt(max(weight * (1 - weight), 1e-12) / shots)
-        assert abs(hits / shots - weight) < 4 * se + 1e-9
+        bracket = _FixedUniforms(weight - 1e-9, weight + 1e-9)
+        assert probe_measure(field, d, bracket)[0] == 1
+        assert probe_measure(field, d, bracket)[0] == -1
+        if trial == 0:  # and the draws of a real stream reach the same frequency
+            shots = 4000
+            sub = stream.substream(trial)
+            hits = sum(
+                1 for i in range(shots) if probe_measure(field, d, sub.substream(i))[0] == 1
+            )
+            se = math.sqrt(max(weight * (1 - weight), 1e-12) / shots)
+            assert abs(hits / shots - weight) < 4 * se + 1e-9
 
 
 def test_probe_rejects_bright_fields():

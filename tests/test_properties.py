@@ -162,7 +162,7 @@ def test_rows_across_blocks_equal_single_calls():
     cfg = ExperimentConfig(bell=config(0.4, 0.3, 0.7, phis), shots=1, seed=0)
     epsilons = np.linspace(-0.3, 0.3, 100)
     rows = timing_sensitivity(cfg, epsilons)
-    assert rows == [timing_sensitivity(cfg, [eps])[0] for eps in epsilons]
+    assert np.array_equal(rows, [timing_sensitivity(cfg, [eps])[0] for eps in epsilons])
 
 
 @SETTINGS
