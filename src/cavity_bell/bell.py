@@ -60,7 +60,7 @@ class GbsBasisMatrix:
 
     def __post_init__(self):
         defect = abs(self.f11**2 + abs(self.f12) ** 2 - 1.0)
-        if defect > 1e-12:
+        if not defect <= 1e-12:
             raise ValueError(f"block is not unitary-involutive, defect {defect:.3e}")
 
 
@@ -147,6 +147,9 @@ def dichotomic_gbs_matrix(p: float, phi: float, phi_prime: float) -> GbsBasisMat
     """Matrix elements of F_p(phi') in the basis pair defined at phase phi."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    for name, value in (("phi", phi), ("phi_prime", phi_prime)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     delta = phi_prime - phi
     half = math.sin(0.5 * delta) ** 2
     f11 = 1.0 - 8.0 * p * (1.0 - p) * half
@@ -292,6 +295,10 @@ def bell_function_operator_vs_eta(
         eta = etas[block, None, None]
         if not np.all(np.isfinite(eta)):
             raise ValueError("eta must be finite")
+        with np.errstate(over="ignore"):
+            overflow = ~np.isfinite(eta * eta)
+        if np.any(overflow):
+            raise ValueError(f"eta must have a finite square, got {float(eta[overflow][0])!r}")
         amplitudes = norm_const(eta) * (branch1 + eta * branch2)
         norms = np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
         if not np.all(np.abs(norms - 1.0) <= NORM_TOL):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,14 +71,6 @@ def _jc_stack(gts: np.ndarray, n_max: int) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=128)
-def _jc_tensor(gt: float, n_max: int) -> np.ndarray:
-    """The unitary of one pulse of area gt as u[atom_out, n_out, atom_in, n_in]."""
-    u = _jc_stack(np.array([gt], dtype=float), n_max)[0]
-    u.setflags(write=False)
-    return u
-
-
 def _ramsey_matrix(theta: float, phi: float) -> np.ndarray:
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
@@ -88,10 +79,12 @@ def _ramsey_matrix(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def _mixing_angle(p: float) -> float:
-    # cos(theta/2) = sqrt(p) picks the rotation that maps the Bernoulli
-    # basis pair onto the bare atomic states.
-    return 2.0 * math.acos(math.sqrt(p))
+def _basis_rotation(p: float, phi: float) -> np.ndarray:
+    """The Ramsey zone that takes |p, phi> to |up> and its partner to |down>.
+
+    Its angle theta has cos(theta/2) = sqrt(p) and its phase is -phi.
+    """
+    return _ramsey_matrix(2.0 * math.acos(math.sqrt(p)), -phi)
 
 
 def probe_measure(field: StateVector, d: GbsParams, rng: RandomStream):
@@ -110,8 +103,8 @@ def probe_measure(field: StateVector, d: GbsParams, rng: RandomStream):
         raise ValueError(f"field has weight {tail**2:.3e} above one photon")
     state = np.zeros((1, 2, field.n_max + 1), dtype=complex)  # (batch, atom, photon)
     state[0, ATOM_DOWN] = field.amplitudes
-    state = _apply(state, _jc_tensor(PROBE_PULSE_AREA, field.n_max), (0, 1))
-    state = _apply(state, _ramsey_matrix(_mixing_angle(d.p), -d.phi), (0,))[0]
+    state = _apply(state, _jc_stack(np.array([PROBE_PULSE_AREA]), field.n_max), (0, 1))
+    state = _apply(state, _basis_rotation(d.p, d.phi), (0,))[0]
     p_up = float(np.sum(np.abs(state[ATOM_UP]) ** 2))
     got_up = rng.uniform() < p_up
     post_field = StateVector.normalized(state[ATOM_UP if got_up else ATOM_DOWN])
@@ -157,19 +150,16 @@ def _apply(state: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarr
     return np.moveaxis(out, range(1, len(moved) + 1), moved)
 
 
-def _generation_joint(
-    params: EntangledGbsParams, pulses: np.ndarray, phase_referenced: bool
-) -> np.ndarray:
+def _generation_joint(params: EntangledGbsParams, pulses: np.ndarray) -> np.ndarray:
     """Joint amplitudes (batch, atom1, atom2, field1, field2) after the protocol.
 
     The atom pair starts in (|up down> + eta |down up>) / sqrt(1 + eta^2)
     with the eta of ``params``. Row k uses the pulse unitary pulses[k] (see
     _jc_stack) for both cavities.
 
-    Each atom crosses its Ramsey zone with cos(theta_j/2) = sqrt(p_j) and
-    phase -theta_j, then its cavity for a pulse of area gt. With
-    phase_referenced the relative phase of the initial atomic superposition
-    is locked to the two field phases, exp(i (theta2 - theta1)); the pulse
+    Each atom crosses its Ramsey zone, _basis_rotation(p_j, theta_j), then
+    its cavity. The relative phase of the initial atomic superposition is
+    locked to the two field phases, exp(i (theta2 - theta1)); the pulse
     applied to an excited atom imprints a phase exp(-i theta_j) on its
     branch, so this referencing is what makes the two branches interfere
     with the plain real weight eta. With equal field phases it is the
@@ -177,12 +167,12 @@ def _generation_joint(
     """
     d = pulses.shape[-1]
     state = np.zeros((1, 2, 2, d, d), dtype=complex)
-    rel = cmath.exp(1j * (params.theta2 - params.theta1)) if phase_referenced else 1.0
+    rel = cmath.exp(1j * (params.theta2 - params.theta1))
     norm = norm_const(params.eta)
     state[0, ATOM_UP, ATOM_DOWN, 0, 0] = norm
     state[0, ATOM_DOWN, ATOM_UP, 0, 0] = norm * params.eta * rel
-    state = _apply(state, _ramsey_matrix(_mixing_angle(params.p1), -params.theta1), (0,))
-    state = _apply(state, _ramsey_matrix(_mixing_angle(params.p2), -params.theta2), (1,))
+    state = _apply(state, _basis_rotation(params.p1, params.theta1), (0,))
+    state = _apply(state, _basis_rotation(params.p2, params.theta2), (1,))
     state = _apply(state, pulses, (0, 2))
     return _apply(state, pulses, (1, 3))
 
@@ -194,25 +184,20 @@ def generate_entangled_gbs(
     p2: float,
     theta2: float,
     n_max: int = DEFAULT_N_MAX,
-    gt: float = PROBE_PULSE_AREA,
-    phase_referenced: bool = True,
 ) -> GenerationResult:
     """Run the generation protocol and return the conditioned field state.
 
-    For gt = pi/2 both atoms end in the ground state with probability one
-    and the cavities carry the entangled two-cavity Bernoulli state with
-    parameters (p1, theta1, p2, theta2) and weight eta, up to a global
-    phase. Raises ValueError, naming the field, unless both p lie in [0, 1]
-    and all five parameters are finite.
+    Every pulse is a half Rabi cycle, so both atoms end in the ground state
+    with probability one and the cavities carry the entangled two-cavity
+    Bernoulli state with parameters (p1, theta1, p2, theta2) and weight
+    eta, up to a global phase. Raises ValueError, naming the field, unless
+    both p lie in [0, 1] and all five parameters are finite.
     """
     params = EntangledGbsParams(p1=p1, p2=p2, theta1=theta1, theta2=theta2, eta=pair.eta)
-    pulses = _jc_stack(np.array([gt], dtype=float), n_max)
-    joint = _generation_joint(params, pulses, phase_referenced)[0]
+    joint = _generation_joint(params, _jc_stack(np.array([PROBE_PULSE_AREA]), n_max))[0]
     probs = np.sum(np.abs(joint) ** 2, axis=(2, 3))
     ground = joint[ATOM_DOWN, ATOM_DOWN]
     weight = float(np.linalg.norm(ground))
-    if weight**2 < 1e-15:
-        raise RuntimeError("ground-ground branch carries no weight; nothing to condition on")
     probs.setflags(write=False)
     return GenerationResult(field=TwoCavityState(ground / weight), atom_probabilities=probs)
 
@@ -227,6 +212,10 @@ class ExperimentConfig:
     detector_efficiency: float = 1.0
 
     def __post_init__(self):
+        for name in ("shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
         if self.shots > MAX_SHOTS:
@@ -290,14 +279,13 @@ def _probe_outcome_probabilities(
     settings do, share its rotation of the first probe.
     """
     full = _probe_pulses(joint, pulses)
-    theta = _mixing_angle(p)
     probs = np.empty((len(joint), len(settings), 2, 2))
     rotated_phi = None
     for index, (phi_a, phi_b) in enumerate(settings):
         if phi_a != rotated_phi:
-            rotated = _apply(full, _ramsey_matrix(theta, -phi_a), (2,))
+            rotated = _apply(full, _basis_rotation(p, phi_a), (2,))
             rotated_phi = phi_a
-        out = _apply(rotated, _ramsey_matrix(theta, -phi_b), (3,))
+        out = _apply(rotated, _basis_rotation(p, phi_b), (3,))
         probs[:, index] = np.sum(np.abs(out) ** 2, axis=(1, 2, 5, 6))
         del out  # so that the next output is made beside one rotated stack only
     return probs
@@ -311,7 +299,7 @@ def _bell_protocol(bell: BellConfig, gts: np.ndarray, n_max: int = DEFAULT_N_MAX
     probabilities (k, setting, q1, q2).
     """
     pulses = _jc_stack(gts, n_max)
-    joint = _generation_joint(bell.state_params, pulses, True)
+    joint = _generation_joint(bell.state_params, pulses)
     return joint, _probe_outcome_probabilities(joint, pulses, bell.p, bell.settings)
 
 

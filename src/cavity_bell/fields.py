@@ -79,18 +79,6 @@ def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) 
     return TwoCavityState(norm_const(params.eta) * (branch1 + params.eta * branch2))
 
 
-def gbs_field_matrix_elements(g: GbsParams) -> tuple[float, complex]:
-    """Matrix elements of a + a-dagger in the basis {|p,phi>, |1-p,pi+phi>}.
-
-    Returns (e11, e12): the diagonal element in the state itself and the
-    off-diagonal element towards the orthogonal partner. The remaining two
-    follow from hermiticity and tracelessness on this two-state block.
-    """
-    e11 = 2.0 * math.sqrt(g.p * (1.0 - g.p)) * math.cos(g.phi)
-    e12 = (2.0 * g.p - 1.0) * math.cos(g.phi) - 1j * math.sin(g.phi)
-    return e11, e12
-
-
 def field_expectation(params: EntangledGbsParams, cavity: int) -> float:
     """Mean field <E_j> in cavity 1 or 2.
 

@@ -78,6 +78,12 @@ def test_gbs_matrix_examples():
     m = dichotomic_gbs_matrix(0.5, 0.0, math.pi / 2)
     assert abs(m.f11) < 1e-14
     assert abs(m.f12 - 1j) < 1e-14
+    # a NaN phase would slip through the block's defect check, and an
+    # infinite one would reach math.sin
+    with pytest.raises(ValueError, match="^phi must be finite, got nan$"):
+        dichotomic_gbs_matrix(0.5, math.nan, 0.0)
+    with pytest.raises(ValueError, match="^phi_prime must be finite, got inf$"):
+        dichotomic_gbs_matrix(0.5, 0.0, math.inf)
 
 
 def test_eigenstates_of_rotated_operator():
@@ -275,6 +281,14 @@ def test_scan_oracle_at_large_cutoff():
         tracemalloc.stop()
     assert np.max(np.abs(s_b - analytic_s_b("maximal", degrees))) <= 1e-12
     assert peak <= 2**26, peak
+
+
+@pytest.mark.parametrize("eta", (math.nan, math.inf, 1e200, -1e155))
+def test_scan_oracle_refuses_bad_eta(eta):
+    # 1e200 and -1e155 are finite but their squares overflow; the refusal
+    # must come before norm_const squares them, so no warning is raised
+    with pytest.raises(ValueError, match="^eta must"):
+        bell_function_operator_vs_eta(0.5, 0.0, angle_preset("maximal"), [0.5, eta])
 
 
 def test_analytic_s_b_values_and_thresholds():

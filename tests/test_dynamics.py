@@ -1,6 +1,7 @@
 """Pulse unitaries, probe readout, state generation, Monte Carlo runs."""
 
 import math
+import re
 import time
 import tracemalloc
 
@@ -21,7 +22,7 @@ from cavity_bell.dynamics import (
     run_bell_experiment,
     timing_sensitivity,
 )
-from cavity_bell.dynamics import _apply, _jc_tensor, _ramsey_matrix
+from cavity_bell.dynamics import _apply, _jc_stack, _ramsey_matrix
 from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
 from cavity_bell.fock import RandomStream, StateVector, fidelity, inner
 
@@ -30,13 +31,13 @@ def test_jc_matrix_unitary():
     for gt in (0.0, 0.5, math.pi / 2, 1.9):
         for n_max in (1, 2, 4):
             dim = 2 * (n_max + 1)
-            u = _jc_tensor(gt, n_max).reshape(dim, dim)
+            u = _jc_stack(np.array([gt]), n_max)[0].reshape(dim, dim)
             assert np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-14)
 
 
 def test_jc_ground_vacuum_is_stationary():
     # column (down, 0) of the unitary is the image of |down, 0>
-    out = _jc_tensor(1.3, 2)[:, :, ATOM_DOWN, 0]
+    out = _jc_stack(np.array([1.3]), 2)[0][:, :, ATOM_DOWN, 0]
     want = np.zeros((2, 3))
     want[ATOM_DOWN, 0] = 1.0
     assert np.allclose(out, want, atol=1e-14)
@@ -44,7 +45,7 @@ def test_jc_ground_vacuum_is_stationary():
 
 def test_jc_half_cycle_swaps_qubit_into_vacuum():
     # |down, 1> -> |up, 0> and |up, 0> -> -|down, 1> at gt = pi/2
-    u = _jc_tensor(math.pi / 2, 2)
+    u = _jc_stack(np.array([math.pi / 2]), 2)[0]
     assert abs(u[ATOM_UP, 0, ATOM_DOWN, 1] - 1.0) < 1e-14
     assert abs(u[ATOM_DOWN, 1, ATOM_UP, 0] + 1.0) < 1e-14
 
@@ -52,7 +53,7 @@ def test_jc_half_cycle_swaps_qubit_into_vacuum():
 def test_jc_rabi_frequency_scales_with_sqrt_n():
     # |down, 2> splits as cos/sin of gt*sqrt(2) between |down, 2> and |up, 1>
     gt = 0.4
-    u = _jc_tensor(gt, 3)
+    u = _jc_stack(np.array([gt]), 3)[0]
     assert abs(u[ATOM_DOWN, 2, ATOM_DOWN, 2] - math.cos(gt * math.sqrt(2))) < 1e-14
     assert abs(u[ATOM_UP, 1, ATOM_DOWN, 2] - math.sin(gt * math.sqrt(2))) < 1e-14
 
@@ -167,41 +168,6 @@ def test_protocol_is_exact_at_large_phase(theta):
         assert abs(row.s_b - bell_function(bell)) < 1e-12
 
 
-def test_generation_without_phase_reference():
-    # an unreferenced atom pair reaches the target only up to the relative
-    # phase of the two branches; the overlap follows a closed form in
-    # eta and theta1 - theta2
-    rng = np.random.default_rng(32)
-    for _ in range(10):
-        eta = float(rng.uniform(-1.5, 1.5))
-        p1, p2 = rng.uniform(0.0, 1.0, 2)
-        t1, t2 = rng.uniform(-math.pi, math.pi, 2)
-        result = generate_entangled_gbs(
-            InitialAtomPair(eta), p1, t1, p2, t2, phase_referenced=False
-        )
-        target = entangled_gbs_state(
-            EntangledGbsParams(p1=p1, p2=p2, theta1=t1, theta2=t2, eta=eta)
-        )
-        fid = fidelity(result.field, target)
-        want = (1 + 2 * eta**2 * math.cos(t1 - t2) + eta**4) / (1 + eta**2) ** 2
-        assert abs(fid - want) < 1e-12
-    # equal phases need no referencing at all
-    result = generate_entangled_gbs(
-        InitialAtomPair(0.9), 0.3, 0.8, 0.7, 0.8, phase_referenced=False
-    )
-    target = entangled_gbs_state(
-        EntangledGbsParams(p1=0.3, p2=0.7, theta1=0.8, theta2=0.8, eta=0.9)
-    )
-    assert abs(fidelity(result.field, target) - 1.0) < 1e-12
-
-
-def test_generation_with_empty_ground_branch():
-    # a full cycle on an unentangled excited atom never reaches the ground
-    # state, so there is nothing to condition on
-    with pytest.raises(RuntimeError):
-        generate_entangled_gbs(InitialAtomPair(0.0), 1.0, 0.0, 1.0, 0.0, gt=math.pi)
-
-
 @pytest.mark.parametrize(
     "p1, p2, eta, field",
     [
@@ -310,6 +276,16 @@ def test_experiment_config_validation():
     ExperimentConfig(bell=bell, shots=2**63 - 1, seed=1)
     with pytest.raises(ValueError, match="^shots must"):
         ExperimentConfig(bell=bell, shots=2**63, seed=1)
+    # whole shots are drawn, so a fractional count would be misreported, and
+    # a fractional seed would select the stream of its integer part
+    for shots, seed, message in (
+        (1000.7, 1, "shots must be an integer, got 1000.7"),
+        (True, 1, "shots must be an integer, got True"),
+        (100, 1.9, "seed must be an integer, got 1.9"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(bell=bell, shots=shots, seed=seed)
+    assert ExperimentConfig(bell=bell, shots=np.int64(100), seed=np.uint64(1)).shots == 100
 
 
 def test_detection_threshold():

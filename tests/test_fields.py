@@ -16,9 +16,7 @@ from cavity_bell.fields import (
     field_covariance,
     field_expectation,
     field_expectation_operator,
-    gbs_field_matrix_elements,
 )
-from cavity_bell.fock import StateVector, expectation, quadrature
 
 
 def _random_params(rng):
@@ -33,22 +31,6 @@ def test_entangled_state_normalized():
     for _ in range(20):
         state = entangled_gbs_state(_random_params(rng))
         assert math.isclose(np.linalg.norm(state.amplitudes), 1.0, abs_tol=1e-12)
-
-
-def test_gbs_matrix_elements_match_vectors():
-    # e11 = <g|E|g>, e12 = <g|E|partner> computed from explicit amplitudes
-    rng = np.random.default_rng(2)
-    e_op = quadrature(2)
-    for _ in range(30):
-        g = GbsParams(float(rng.uniform(0, 1)), float(rng.uniform(-math.pi, math.pi)))
-        e11, e12 = gbs_field_matrix_elements(g)
-        from cavity_bell.binomial import gbs_state, orthogonal_partner
-
-        vec = gbs_state(g)
-        part = gbs_state(orthogonal_partner(g))
-        assert abs(e11 - expectation(e_op, vec)) < 1e-12
-        direct = np.vdot(vec.amplitudes, e_op.matrix @ part.amplitudes)
-        assert abs(e12 - direct) < 1e-12
 
 
 def test_single_cavity_expectations_match_operator():
