@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bell": (
         "BellConfig", "DichotomicParams", "analytic_s_b", "angle_preset",
-        "bell_correlation", "bell_function", "bell_function_at_half",
-        "bell_function_operator", "degree_of_entanglement", "dichotomic_eigenstates",
+        "bell_correlation", "bell_function", "bell_function_operator",
+        "degree_of_entanglement", "dichotomic_eigenstates",
         "dichotomic_operator", "eta_for_degree", "optimal_p_scan", "preset_config",
         "violation_threshold",
     ),

@@ -27,8 +27,8 @@ import numpy as np
 
 from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle
 from .constants import MAX_GRID_POINTS, PRESETS
-from .fields import EntangledGbsParams, entangled_branches, entangled_gbs_state, norm_const
-from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, StateVector, pair_expectation
+from .fields import EntangledGbsParams, norm_const
+from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, StateVector, braket
 
 # Violation thresholds on G: below these the preset cannot push S_B past 2.
 G_MIN_MAXIMAL = math.sqrt(2.0) - 1.0
@@ -126,6 +126,19 @@ def chsh(c11: float, c12: float, c21: float, c22: float) -> float:
     return abs(c11 - c12) + abs(c21 + c22)
 
 
+def _dichotomic_matrices(p, phi: float, n_max: int) -> np.ndarray:
+    # F_p(phi) on levels 0..n_max, one matrix per value of p (a float or a vector).
+    p = np.asarray(p, dtype=float)
+    diag = 2.0 * p - 1.0
+    off = 2.0 * np.sqrt(p * (1.0 - p))
+    mats = np.zeros(p.shape + (n_max + 1, n_max + 1), dtype=complex)
+    mats[..., 0, 0] = -diag
+    mats[..., 1, 1] = diag
+    mats[..., 1, 0] = off * cmath.exp(1j * phi)
+    mats[..., 0, 1] = off * cmath.exp(-1j * phi)
+    return mats
+
+
 def dichotomic_operator(d: GbsParams, n_max: int = DEFAULT_N_MAX) -> FieldOperator:
     """F_p(phi) as a dense Fock-space matrix.
 
@@ -133,14 +146,7 @@ def dichotomic_operator(d: GbsParams, n_max: int = DEFAULT_N_MAX) -> FieldOperat
     + 2 sqrt(p(1-p)) (exp(i phi)|1><0| + h.c.); levels above one photon are
     outside both basis states and carry zeros.
     """
-    mat = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    diag = 2.0 * d.p - 1.0
-    off = 2.0 * math.sqrt(d.p * (1.0 - d.p))
-    mat[0, 0] = -diag
-    mat[1, 1] = diag
-    mat[1, 0] = off * cmath.exp(1j * d.phi)
-    mat[0, 1] = off * cmath.exp(-1j * d.phi)
-    return FieldOperator(mat)
+    return FieldOperator(_dichotomic_matrices(d.p, d.phi, n_max))
 
 
 def dichotomic_gbs_matrix(p: float, phi: float, phi_prime: float) -> GbsBasisMatrix:
@@ -219,15 +225,16 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
     return _correlation(config.p, config.theta, config.eta, phi_a, phi_b)
 
 
-def _correlation(p, theta: float, eta: float, phi_a: float, phi_b: float):
-    # The closed form of bell_correlation; p may be an array of values,
-    # everything else is a float.
+def _correlation(p, theta: float, eta, phi_a: float, phi_b: float):
+    # The closed form of bell_correlation; p and eta may be floats or arrays
+    # of one length, theta and the angles are floats. eta * eta rounds the
+    # same for both, where a float's eta**2 (libm pow) can be an ulp off.
     a1 = phi_a - theta
     a2 = phi_b - theta
     s1 = math.sin(0.5 * a1) ** 2
     s2 = math.sin(0.5 * a2) ** 2
     k = 8.0 * p * (1.0 - p)
-    weight = eta / (1.0 + eta**2)
+    weight = eta / (1.0 + eta * eta)
     bracket = (
         s1
         + s2
@@ -237,27 +244,19 @@ def _correlation(p, theta: float, eta: float, phi_a: float, phi_b: float):
     return -1.0 + k * bracket
 
 
-def dichotomic_pair_expectation(amplitudes, d1: GbsParams, d2: GbsParams) -> np.ndarray:
-    """Operator-oracle correlation of F_{d1} x F_{d2} on arbitrary joint states.
+def dichotomic_pair_expectation(amplitudes, p, phi_a: float, phi_b: float) -> np.ndarray:
+    """Operator-oracle correlation <F_p(phi_a) x F_p(phi_b)> on joint states.
 
     ``amplitudes`` is one joint amplitude matrix or a stack (..., d, d) of
-    them; the result holds one real correlation per matrix.
+    them, and p a float or one value per matrix; each matrix meets its own
+    pair of F_p(phi) matrices, and the result holds one real correlation per
+    matrix: braket(psi, F_a @ psi @ F_b^T), as in fock.pair_expectation.
     """
-    n_max = np.shape(amplitudes)[-1] - 1
-    ops = dichotomic_operator(d1, n_max), dichotomic_operator(d2, n_max)
-    return pair_expectation(*ops, amplitudes).real
-
-
-def bell_correlation_operator(
-    config: BellConfig, phi_a: float, phi_b: float, n_max: int = DEFAULT_N_MAX
-) -> float:
-    """Correlation computed by building the state and applying both observables."""
-    state = entangled_gbs_state(config.state_params, n_max)
-    return float(
-        dichotomic_pair_expectation(
-            state.amplitudes, GbsParams(config.p, phi_a), GbsParams(config.p, phi_b)
-        )
-    )
+    psi = np.asarray(amplitudes)
+    n_max = psi.shape[-1] - 1
+    f_a = _dichotomic_matrices(p, phi_a, n_max)
+    f_b = _dichotomic_matrices(p, phi_b, n_max)
+    return braket(psi, f_a @ psi @ np.swapaxes(f_b, -1, -2)).real
 
 
 def bell_function(config: BellConfig) -> float:
@@ -268,68 +267,85 @@ def bell_function(config: BellConfig) -> float:
 def bell_function_operator(config: BellConfig, n_max: int = DEFAULT_N_MAX) -> float:
     """S_B with every correlation taken from the operator oracle."""
     angles = (config.phi1, config.phi2, config.phi1_prime, config.phi2_prime)
-    (s_b,) = bell_function_operator_vs_eta(config.p, config.theta, angles, [config.eta], n_max)
+    (s_b,) = bell_function_operator_vs_p(config.theta, config.eta, angles, config.p, n_max)
     return float(s_b)
 
 
-def bell_function_operator_vs_eta(
-    p: float,
-    theta: float,
-    angles: tuple[float, float, float, float],
-    etas,
-    n_max: int = DEFAULT_N_MAX,
-) -> np.ndarray:
-    """Operator-oracle S_B over a vector of weights eta at fixed p, theta and angles.
+def _bell_grid(p, eta, row_size: int, block_s_b) -> np.ndarray:
+    """S_B over a grid of (p, eta) points, filled as block_s_b(p, eta) per block.
 
-    Only eta varies along the vector, so the two branch products are built
-    once and each block of weights becomes one (block, d, d) amplitude
-    stack. Every correlation of a block is then one stacked contraction
-    with the two single-cavity observables; the d^2 x d^2 joint operator
-    is never formed.
+    p and eta are floats or 1-D vectors, broadcast to one length; a float
+    stays a stride-0 view, so no vector of it is made. The blocks are those
+    of blocks(count, row_size), and each is checked before block_s_b sees it.
     """
-    etas = np.asarray(etas, dtype=float)
-    config = BellConfig(p, theta, 0.0, *angles)  # checks p, theta and the angles
-    branch1, branch2 = entangled_branches(config.state_params, n_max)
-    out = np.empty(etas.size)
-    for block in blocks(etas.size, branch1.size):
-        eta = etas[block, None, None]
-        if not np.all(np.isfinite(eta)):
-            raise ValueError("eta must be finite")
+    p, eta = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in (p, eta)))
+    out = np.empty(len(p))
+    for block in blocks(len(out), row_size):
+        p_block, eta_block = p[block], eta[block]
+        if not np.all((p_block >= 0.0) & (p_block <= 1.0)):  # also refuses NaN
+            raise ValueError("p must lie in [0, 1] at every grid point")
         with np.errstate(over="ignore"):
-            overflow = ~np.isfinite(eta * eta)
-        if np.any(overflow):
-            raise ValueError(f"eta must have a finite square, got {float(eta[overflow][0])!r}")
-        amplitudes = norm_const(eta) * (branch1 + eta * branch2)
-        norms = np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
-        if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
-            raise ValueError("entangled state is not normalized")
-        out[block] = chsh(
-            *(
-                dichotomic_pair_expectation(amplitudes, GbsParams(p, phi_a), GbsParams(p, phi_b))
-                for phi_a, phi_b in config.settings
-            )
-        )
+            square = eta_block * eta_block
+        for bad, rule in ((~np.isfinite(eta_block), "be finite"),
+                          (~np.isfinite(square), "have a finite square")):
+            if np.any(bad):
+                raise ValueError(f"eta must {rule}, got {float(eta_block[bad][0])!r}")
+        out[block] = block_s_b(p_block, eta_block)
     return out
 
 
-def bell_function_at_half(config: BellConfig) -> float:
-    """Closed form of S_B at p = 1/2.
+def bell_function_vs_p(
+    theta: float, eta, angles: tuple[float, float, float, float], p_values
+) -> np.ndarray:
+    """Closed-form S_B over a grid of (p, eta) points at fixed theta and angles.
 
-    Each correlation collapses to g sin a1 sin a2 - cos a1 cos a2 with the
-    signed weight g = 2 eta/(1+eta^2); the two eta signs that are sometimes
-    written as a +- branch are both covered by keeping g signed.
+    The closed form of bell_correlation runs once per setting on each block
+    of points (see _bell_grid), so the working arrays do not grow with the
+    grid; the angle terms do not depend on the point and stay scalars.
     """
-    if abs(config.p - 0.5) > 1e-12:
-        raise ValueError("closed form requires p = 1/2")
-    g = 2.0 * config.eta / (1.0 + config.eta**2)
-    theta = config.theta
-    return chsh(
-        *(
-            g * math.sin(phi_a - theta) * math.sin(phi_b - theta)
-            - math.cos(phi_a - theta) * math.cos(phi_b - theta)
-            for phi_a, phi_b in config.settings
+    config = BellConfig(0.5, theta, 0.0, *angles)  # checks theta and the angles
+
+    def block_s_b(p, eta):
+        return chsh(
+            *(_correlation(p, config.theta, eta, phi_a, phi_b) for phi_a, phi_b in config.settings)
         )
-    )
+
+    return _bell_grid(p_values, eta, 1, block_s_b)
+
+
+def bell_function_operator_vs_p(
+    theta: float, eta, angles: tuple[float, float, float, float], p_values,
+    n_max: int = DEFAULT_N_MAX,
+) -> np.ndarray:
+    """Operator-oracle S_B over the (p, eta) grid that bell_function_vs_p takes.
+
+    Each block of points becomes one (block, d, d) stack of entangled
+    states, built from the Bernoulli rows (sqrt(1-p), exp(i theta) sqrt(p))
+    and their partners at (1-p, theta+pi). Every correlation of a block is
+    then one stacked contraction with one F_p(phi) matrix per point and
+    cavity; the d^2 x d^2 joint operator is never formed.
+    """
+    config = BellConfig(0.5, theta, 0.0, *angles)  # checks theta and the angles
+    if n_max < 1:
+        raise ValueError(f"n_max = {n_max} cannot hold a state with N = 1")
+    d = n_max + 1
+
+    def block_s_b(p, eta):
+        # |p, theta> and its partner |1-p, theta+pi>, one row per point
+        kets = np.zeros((2, len(p), d), dtype=complex)
+        for ket, q, phase in zip(kets, (p, 1.0 - p), (config.theta, config.theta + math.pi)):
+            ket[:, 0] = np.sqrt(1.0 - q)
+            ket[:, 1] = cmath.exp(1j * phase) * np.sqrt(q)
+        cavity1, cavity2 = kets[:, :, :, None], kets[:, :, None, :]
+        weight = eta[:, None, None]
+        branch1, branch2 = cavity1[0] * cavity2[1], cavity1[1] * cavity2[0]
+        amplitudes = norm_const(weight) * (branch1 + weight * branch2)
+        norms = np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
+        if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
+            raise ValueError("entangled state is not normalized")
+        return chsh(*(dichotomic_pair_expectation(amplitudes, p, a, b) for a, b in config.settings))
+
+    return _bell_grid(p_values, eta, d * d, block_s_b)
 
 
 def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[float, float, float, float]:
@@ -339,7 +355,9 @@ def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[
     reaching S_B = sqrt(2)(1+G) with violation for G > sqrt(2)-1.
     "wide": phi1 = phi2 = theta, phi1' = theta+pi/3 and phi2' = theta-(2pi/3)
     for non-negative eta (mirrored for negative eta), reaching
-    S_B = 7/4 + 3G/4 with the widest violation interval, G > 1/3.
+    S_B = 7/4 + 3G/4 with violation for G > 1/3.
+    Both thresholds are limits of these presets, not of the states: at
+    p = 1/2 other phases reach S_B = 2 sqrt(1+G^2), past 2 for every G > 0.
     The ladder starts at reduce_angle(theta), the phase BellConfig keeps,
     so no offset is lost to rounding at large |theta|.
     """
@@ -377,29 +395,6 @@ def preset_config(kind: str, eta: float, p: float = 0.5, theta: float = 0.0) -> 
     return BellConfig(
         p=p, theta=theta, eta=eta, phi1=phi1, phi2=phi2, phi1_prime=phi1p, phi2_prime=phi2p
     )
-
-
-def bell_function_vs_p(
-    theta: float, eta: float, angles: tuple[float, float, float, float], p_values
-) -> np.ndarray:
-    """S_B evaluated over a vector of p values at fixed angles.
-
-    The closed form of bell_correlation runs once per setting on each block
-    of p values (see blocks) and fills one output vector, so the working
-    arrays do not grow with the grid; the angle terms do not depend on p
-    and stay scalars.
-    """
-    ps = np.asarray(p_values, dtype=float)
-    config = BellConfig(0.5, theta, eta, *angles)  # checks theta, eta and the angles
-    out = np.empty(ps.size)
-    for block in blocks(ps.size, 1):
-        p = ps[block]
-        if not np.all((p >= 0.0) & (p <= 1.0)):  # also refuses NaN
-            raise ValueError("p must lie in [0, 1] at every grid point")
-        out[block] = chsh(
-            *(_correlation(p, config.theta, eta, phi_a, phi_b) for phi_a, phi_b in config.settings)
-        )
-    return out
 
 
 def p_grid(step: float) -> np.ndarray:

@@ -178,7 +178,7 @@ def cmd_scan(args) -> int:
     from .bell import (
         analytic_s_b,
         angle_preset,
-        bell_function_operator_vs_eta,
+        bell_function_operator_vs_p,
         blocks,
         eta_for_degree,
     )
@@ -193,7 +193,7 @@ def cmd_scan(args) -> int:
     analytic = np.empty(count)
     for block in blocks(count, 1):
         analytic[block] = eta_for_degree(degrees[block])
-    s_b_operator = bell_function_operator_vs_eta(0.5, args.theta, angles, analytic)
+    s_b_operator = bell_function_operator_vs_p(args.theta, analytic, angles, 0.5)
     for block in blocks(count, 1):
         analytic[block] = analytic_s_b(args.preset, degrees[block])
     _write_csv(args.out, "G,s_b_analytic,s_b_operator", (degrees, analytic, s_b_operator))

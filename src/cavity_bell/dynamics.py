@@ -220,6 +220,8 @@ class ExperimentConfig:
             raise ValueError("shots must be at least 1")
         if self.shots > MAX_SHOTS:
             raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots!r}")
+        if not 0 <= int(self.seed) < 2**64:  # RandomStream keys on 64 bits
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in [0, 1]")
 

@@ -61,22 +61,15 @@ def norm_const(eta):
     return 1.0 / np.sqrt(1.0 + eta**2)
 
 
-def entangled_branches(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX):
-    """Joint amplitudes of the two branches |p1,t1>|1-p2,pi+t2> and |1-p1,pi+t1>|p2,t2>.
-
-    They do not depend on eta, so a scan over eta builds them once.
-    """
+def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> TwoCavityState:
+    """Construct |Psi> as an explicit joint amplitude matrix."""
     g1 = GbsParams(params.p1, params.theta1)
     g2 = GbsParams(params.p2, params.theta2)
     branch1 = tensor(gbs_state(g1, n_max), gbs_state(orthogonal_partner(g2), n_max))
     branch2 = tensor(gbs_state(orthogonal_partner(g1), n_max), gbs_state(g2, n_max))
-    return branch1.amplitudes, branch2.amplitudes
-
-
-def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> TwoCavityState:
-    """Construct |Psi> as an explicit joint amplitude matrix."""
-    branch1, branch2 = entangled_branches(params, n_max)
-    return TwoCavityState(norm_const(params.eta) * (branch1 + params.eta * branch2))
+    return TwoCavityState(
+        norm_const(params.eta) * (branch1.amplitudes + params.eta * branch2.amplitudes)
+    )
 
 
 def field_expectation(params: EntangledGbsParams, cavity: int) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,11 @@ from cavity_bell.bell import (
     analytic_s_b,
     angle_preset,
     bell_correlation,
-    bell_correlation_operator,
     bell_function,
-    bell_function_at_half,
     bell_function_operator,
-    bell_function_operator_vs_eta,
+    bell_function_operator_vs_p,
     bell_function_vs_p,
+    chsh,
     degree_of_entanglement,
     dichotomic_eigenstates,
     dichotomic_gbs_matrix,
@@ -29,7 +29,14 @@ from cavity_bell.bell import (
     violation_threshold,
 )
 from cavity_bell.binomial import GbsParams, gbs_state, orthogonal_partner
-from cavity_bell.fock import StateVector, inner
+from cavity_bell.fields import entangled_gbs_state
+from cavity_bell.fock import StateVector, expectation, inner, joint
+
+
+def dense_correlation(cfg, phi_a, phi_b):
+    """<F_p(phi_a) x F_p(phi_b)> through the d^2 x d^2 joint operator."""
+    ops = (dichotomic_operator(GbsParams(cfg.p, phi)) for phi in (phi_a, phi_b))
+    return expectation(joint(*ops), entangled_gbs_state(cfg.state_params)).real
 
 
 def test_dichotomic_operator_spectral_action():
@@ -145,7 +152,7 @@ def test_correlation_closed_form_vs_operator_grid():
             p=p, theta=theta, eta=eta, phi1=pa, phi2=pb, phi1_prime=0.0, phi2_prime=0.0
         )
         closed = bell_correlation(cfg, pa, pb)
-        direct = bell_correlation_operator(cfg, pa, pb)
+        direct = dense_correlation(cfg, pa, pb)
         assert abs(closed - direct) < 1e-12
 
 
@@ -216,11 +223,17 @@ def test_half_occupation_closed_form():
             phi1_prime=float(rng.uniform(-math.pi, math.pi)),
             phi2_prime=float(rng.uniform(-math.pi, math.pi)),
         )
-        assert abs(bell_function_at_half(cfg) - bell_function(cfg)) < 1e-12
-    with pytest.raises(ValueError):
-        bell_function_at_half(
-            BellConfig(p=0.4, theta=0, eta=1, phi1=0, phi2=0, phi1_prime=0, phi2_prime=0)
+        # each correlation collapses to g sin a1 sin a2 - cos a1 cos a2 with
+        # the signed weight g = 2 eta/(1+eta^2), which covers both eta signs
+        g = 2.0 * cfg.eta / (1.0 + cfg.eta**2)
+        at_half = chsh(
+            *(
+                g * math.sin(phi_a - cfg.theta) * math.sin(phi_b - cfg.theta)
+                - math.cos(phi_a - cfg.theta) * math.cos(phi_b - cfg.theta)
+                for phi_a, phi_b in cfg.settings
+            )
         )
+        assert abs(at_half - bell_function(cfg)) < 1e-12
 
 
 def test_preset_values():
@@ -250,7 +263,7 @@ def test_closed_forms_match_operator_at_large_phase(theta):
             assert abs(cfg.theta) <= math.pi
             assert abs(bell_function(cfg) - bell_function_operator(cfg)) < 1e-12
             for phi_a, phi_b in cfg.settings:
-                operator = bell_correlation_operator(cfg, phi_a, phi_b)
+                operator = dense_correlation(cfg, phi_a, phi_b)
                 assert abs(bell_correlation(cfg, phi_a, phi_b) - operator) < 1e-12
             # the pscan closed form at the same point
             angles = angle_preset(kind, theta, eta_sign=1.0 if eta >= 0 else -1.0)
@@ -258,8 +271,8 @@ def test_closed_forms_match_operator_at_large_phase(theta):
             assert abs(s_b - bell_function_operator(cfg)) < 1e-12
         # the scan: analytic S_B(G) against the oracle at the preset angles
         degrees = np.array([0.0, 0.5, 1.0])
-        s_b_operator = bell_function_operator_vs_eta(
-            0.5, theta, angle_preset(kind, theta), eta_for_degree(degrees)
+        s_b_operator = bell_function_operator_vs_p(
+            theta, eta_for_degree(degrees), angle_preset(kind, theta), 0.5
         )
         assert np.max(np.abs(s_b_operator - analytic_s_b(kind, degrees))) < 1e-12
     # settings given next to theta, far from zero, keep their offsets
@@ -273,22 +286,65 @@ def test_scan_oracle_at_large_cutoff():
     degrees = np.array([0.0, 0.5, 1.0])
     tracemalloc.start()
     try:
-        s_b = bell_function_operator_vs_eta(
-            0.5, 0.0, angle_preset("maximal"), eta_for_degree(degrees), n_max=200
+        s_b = bell_function_operator_vs_p(
+            0.0, eta_for_degree(degrees), angle_preset("maximal"), 0.5, n_max=200
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert np.max(np.abs(s_b - analytic_s_b("maximal", degrees))) <= 1e-12
     assert peak <= 2**26, peak
+    # a cutoff below one photon cannot hold the Bernoulli states
+    with pytest.raises(ValueError, match="^n_max = 0 cannot hold"):
+        bell_function_operator(preset_config("maximal", 0.5), 0)
 
 
 @pytest.mark.parametrize("eta", (math.nan, math.inf, 1e200, -1e155))
 def test_scan_oracle_refuses_bad_eta(eta):
     # 1e200 and -1e155 are finite but their squares overflow; the refusal
-    # must come before norm_const squares them, so no warning is raised
-    with pytest.raises(ValueError, match="^eta must"):
-        bell_function_operator_vs_eta(0.5, 0.0, angle_preset("maximal"), [0.5, eta])
+    # must come before norm_const squares them, so no warning is raised.
+    # Both routes name the first bad weight, as BellConfig does.
+    rule = "be finite" if not math.isfinite(eta) else "have a finite square"
+    message = f"^eta must {rule}, got {re.escape(repr(eta))}$"
+    for grid in (bell_function_operator_vs_p, bell_function_vs_p):
+        with pytest.raises(ValueError, match=message):
+            grid(0.0, [0.5, eta], angle_preset("maximal"), 0.5)
+
+
+@pytest.mark.parametrize("kind", ("maximal", "wide"))
+def test_p_scan_oracle_matches_closed_form(kind):
+    # the pscan values against the operator oracle, on the p grid of pscan
+    # and on a joint (p, eta) grid with weights of both signs
+    ps = np.linspace(0.0, 1.0, 201)
+    for theta in (0.0, 0.4, -2.5, 1e13):
+        for eta in (0.7, 0.35, 3.7, -0.6, -1.0):
+            angles = angle_preset(kind, theta, eta_sign=1.0 if eta >= 0 else -1.0)
+            closed = bell_function_vs_p(theta, eta, angles, ps)
+            oracle = bell_function_operator_vs_p(theta, eta, angles, ps)
+            assert np.max(np.abs(closed - oracle)) < 1e-12
+        etas = np.linspace(-2.0, 2.0, len(ps))
+        closed = bell_function_vs_p(theta, etas, angles, ps)
+        assert np.max(np.abs(closed - bell_function_operator_vs_p(theta, etas, angles, ps))) < 1e-12
+
+
+@pytest.mark.parametrize("g", (0.1, 0.2, 0.3, 1.0 / 3.0, 0.8, 1.0))
+def test_violation_thresholds_belong_to_the_presets(g):
+    # At p = 1/2 the phases (theta, theta+b, theta+pi/2, theta+b') with
+    # beta = atan2(1, G) reach S_B = 2 sqrt(1+G^2), past 2 for every G > 0,
+    # so G > sqrt(2)-1 and G > 1/3 are limits of the presets, not of the state.
+    theta = 0.4
+    beta = math.atan2(1.0, g)
+    b = math.atan2(math.cos(beta), -math.sin(beta))
+    b_prime = math.atan2(math.cos(beta), math.sin(beta))
+    angles = (theta, theta + b, theta + math.pi / 2, theta + b_prime)
+    cfg = BellConfig(0.5, theta, eta_for_degree(g), *angles)
+    want = 2.0 * math.sqrt(1.0 + g * g)
+    assert abs(bell_function(cfg) - want) < 1e-12
+    assert abs(bell_function_operator(cfg) - want) < 1e-12
+    assert want > 2.0
+    for kind in ("maximal", "wide"):
+        if g < violation_threshold(kind):
+            assert analytic_s_b(kind, g) < 2.0
 
 
 def test_analytic_s_b_values_and_thresholds():

@@ -179,6 +179,18 @@ def test_simulate_report_and_reproducibility(tmp_path):
     assert params == {"alpha", "eta", "p", "preset", "shots", "theta"}
 
 
+def test_simulate_refuses_a_seed_outside_64_bits(tmp_path, capsys):
+    # the random stream keys on 64 bits, where -1 would run seed 2**64 - 1
+    out = tmp_path / "seed.txt"
+    for seed in ("-1", str(2**64)):
+        assert main(["simulate", "maximal", f"--seed={seed}", "--shots", "1000",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+    assert main(["simulate", "maximal", f"--seed={2**64 - 1}", "--shots", "1000",
+                 "--out", str(out)]) == 0
+
+
 def test_simulate_with_losses(tmp_path):
     out = tmp_path / "lossy.txt"
     rc = main(["simulate", "maximal", "--shots", "4000", "--alpha", "0.8",

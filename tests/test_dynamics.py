@@ -282,10 +282,15 @@ def test_experiment_config_validation():
         (1000.7, 1, "shots must be an integer, got 1000.7"),
         (True, 1, "shots must be an integer, got True"),
         (100, 1.9, "seed must be an integer, got 1.9"),
+        # the stream keys on 64 bits, so these would alias 2**64 - 1 and 0
+        (100, -1, "seed must lie in [0, 2**64), got -1"),
+        (100, 2**64, "seed must lie in [0, 2**64), got 18446744073709551616"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(bell=bell, shots=shots, seed=seed)
     assert ExperimentConfig(bell=bell, shots=np.int64(100), seed=np.uint64(1)).shots == 100
+    assert ExperimentConfig(bell=bell, shots=1, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert ExperimentConfig(bell=bell, shots=1, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_detection_threshold():
