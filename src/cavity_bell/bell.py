@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle
 from .constants import MAX_GRID_POINTS, PRESETS
 from .fields import EntangledGbsParams, norm_const
-from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, StateVector, braket
+from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, braket
 
 # Violation thresholds on G: below these the preset cannot push S_B past 2.
 G_MIN_MAXIMAL = math.sqrt(2.0) - 1.0
@@ -47,8 +46,7 @@ BLOCK_AMPLITUDES = 2**12
 DichotomicParams = GbsParams
 
 
-@dataclass(frozen=True)
-class GbsBasisMatrix:
+class GbsBasisMatrix(Frozen):
     """Matrix of F_p(phi') in the basis {|p,phi>, |1-p,pi+phi>}.
 
     The observable squares to one on this block, so f11^2 + |f12|^2 = 1 and
@@ -64,8 +62,7 @@ class GbsBasisMatrix:
             raise ValueError(f"block is not unitary-involutive, defect {defect:.3e}")
 
 
-@dataclass(frozen=True)
-class BellConfig:
+class BellConfig(Frozen):
     """Full configuration of one Bell evaluation.
 
     p and theta select the measured basis family and the state phase, eta
@@ -128,6 +125,8 @@ def chsh(c11: float, c12: float, c21: float, c22: float) -> float:
 
 def _dichotomic_matrices(p, phi: float, n_max: int) -> np.ndarray:
     # F_p(phi) on levels 0..n_max, one matrix per value of p (a float or a vector).
+    if n_max < 1:
+        raise ValueError(f"n_max = {n_max} cannot hold a state with N = 1")
     p = np.asarray(p, dtype=float)
     diag = 2.0 * p - 1.0
     off = 2.0 * np.sqrt(p * (1.0 - p))
@@ -222,19 +221,24 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
 
     with a_j the angle relative to theta and s_j = sin(a_j / 2).
     """
-    return _correlation(config.p, config.theta, config.eta, phi_a, phi_b)
+    return _correlation(config.p, config.theta, _weight(config.eta), phi_a, phi_b)
 
 
-def _correlation(p, theta: float, eta, phi_a: float, phi_b: float):
-    # The closed form of bell_correlation; p and eta may be floats or arrays
-    # of one length, theta and the angles are floats. eta * eta rounds the
-    # same for both, where a float's eta**2 (libm pow) can be an ulp off.
+def _weight(eta):
+    # eta/(1+eta^2) for a float or an array; eta * eta rounds the same for
+    # both, where a float's eta**2 (libm pow) can be an ulp off.
+    return eta / (1.0 + eta * eta)
+
+
+def _correlation(p, theta: float, weight, phi_a: float, phi_b: float):
+    # The closed form of bell_correlation with weight = _weight(eta); p and
+    # the weight may be floats or arrays of one length, theta and the angles
+    # are floats.
     a1 = phi_a - theta
     a2 = phi_b - theta
     s1 = math.sin(0.5 * a1) ** 2
     s2 = math.sin(0.5 * a2) ** 2
     k = 8.0 * p * (1.0 - p)
-    weight = eta / (1.0 + eta * eta)
     bracket = (
         s1
         + s2
@@ -301,14 +305,14 @@ def bell_function_vs_p(
 
     The closed form of bell_correlation runs once per setting on each block
     of points (see _bell_grid), so the working arrays do not grow with the
-    grid; the angle terms do not depend on the point and stay scalars.
+    grid; the weight eta/(1+eta^2) is taken once per block, and the angle
+    terms do not depend on the point and stay scalars.
     """
     config = BellConfig(0.5, theta, 0.0, *angles)  # checks theta and the angles
 
     def block_s_b(p, eta):
-        return chsh(
-            *(_correlation(p, config.theta, eta, phi_a, phi_b) for phi_a, phi_b in config.settings)
-        )
+        weight = _weight(eta)
+        return chsh(*(_correlation(p, config.theta, weight, a, b) for a, b in config.settings))
 
     return _bell_grid(p_values, eta, 1, block_s_b)
 

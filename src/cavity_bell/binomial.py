@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_N_MAX, StateVector
+from .fock import DEFAULT_N_MAX, Frozen, StateVector
 
 # Weights are built in floating point; past ~64 trials the smallest terms
 # underflow long before the largest, so refuse instead of degrading quietly.
@@ -60,8 +59,7 @@ def _set_p_phi(params) -> None:
     object.__setattr__(params, "phi", wrap_angle(params.phi))
 
 
-@dataclass(frozen=True)
-class BinomialParams:
+class BinomialParams(Frozen):
     """Parameters (N, p, phi) of a generalized binomial state.
 
     n is the maximum photon number N, p the single-trial excitation
@@ -80,8 +78,7 @@ class BinomialParams:
         object.__setattr__(self, "n", int(self.n))
 
 
-@dataclass(frozen=True)
-class GbsParams:
+class GbsParams(Frozen):
     """Parameters (p, phi) of a generalized Bernoulli state (N = 1).
 
     The same pair selects the basis of the dichotomic field observable.

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import BellConfig, blocks, chsh
 from .binomial import GbsParams
 from .fields import EntangledGbsParams, entangled_gbs_state, norm_const
-from .fock import DEFAULT_N_MAX, RandomStream, StateVector, TwoCavityState, braket
+from .fock import DEFAULT_N_MAX, Frozen, RandomStream, StateVector, TwoCavityState, braket
 
 ATOM_DOWN = 0
 ATOM_UP = 1
@@ -111,15 +110,13 @@ def probe_measure(field: StateVector, d: GbsParams, rng: RandomStream):
     return (1 if got_up else -1), post_field
 
 
-@dataclass(frozen=True)
-class InitialAtomPair:
+class InitialAtomPair(Frozen):
     """Entangled atom pair (|up down> + eta |down up>) / sqrt(1 + eta^2)."""
 
     eta: float
 
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(Frozen):
     """Outcome of the state-generation protocol.
 
     field is the two-cavity state conditioned on both atoms ending in the
@@ -142,12 +139,12 @@ def _apply(state: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarr
     single-state numbers bit for bit.
     """
     moved = [axis + 1 for axis in axes]
-    kept = [axis for axis in range(1, state.ndim) if axis not in moved]
+    order = [0, *moved, *(axis for axis in range(1, state.ndim) if axis not in moved)]
     size = math.prod(state.shape[axis] for axis in moved)
-    flat = state.transpose([0, *moved, *kept]).reshape(state.shape[0], size, -1)
+    flat = state.transpose(order).reshape(state.shape[0], size, -1)
     out = np.matmul(op.reshape(op.shape[: op.ndim - 2 * len(axes)] + (size, size)), flat)
-    out = out.reshape(out.shape[:1] + tuple(state.shape[axis] for axis in moved + kept))
-    return np.moveaxis(out, range(1, len(moved) + 1), moved)
+    out = out.reshape(out.shape[:1] + tuple(state.shape[axis] for axis in order[1:]))
+    return out.transpose(sorted(range(state.ndim), key=order.__getitem__))  # order's inverse
 
 
 def _generation_joint(params: EntangledGbsParams, pulses: np.ndarray) -> np.ndarray:
@@ -202,8 +199,7 @@ def generate_entangled_gbs(
     return GenerationResult(field=TwoCavityState(ground / weight), atom_probabilities=probs)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Frozen):
     """Seeded Monte Carlo Bell run: state, settings, shot budget, detectors."""
 
     bell: BellConfig
@@ -226,8 +222,7 @@ class ExperimentConfig:
             raise ValueError("detector efficiency must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SettingEstimate:
+class SettingEstimate(Frozen):
     """Correlation estimate at one pair of measurement angles."""
 
     phi_a: float
@@ -238,8 +233,7 @@ class SettingEstimate:
     retained: int
 
 
-@dataclass(frozen=True)
-class BellEstimate:
+class BellEstimate(Frozen):
     """Monte Carlo estimate of the Bell function with its standard error.
 
     notes holds (key, text) pairs that qualify the run; a report prints
@@ -384,8 +378,7 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
     )
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(Frozen):
     """Detector-efficiency verdict for a loophole-free violation."""
 
     alpha: float

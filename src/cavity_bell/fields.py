@@ -16,16 +16,16 @@ the number-state covariance limits at exactly +-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle
-from .fock import DEFAULT_N_MAX, TwoCavityState, identity, pair_expectation, quadrature, tensor
+from .fock import (
+    DEFAULT_N_MAX, Frozen, TwoCavityState, identity, pair_expectation, quadrature, tensor,
+)
 
 
-@dataclass(frozen=True)
-class EntangledGbsParams:
+class EntangledGbsParams(Frozen):
     """Parameters (p1, p2, theta1, theta2, eta) of the two-cavity state.
 
     eta is any real number with a finite square, including negative
@@ -108,8 +108,7 @@ def field_correlation(params: EntangledGbsParams) -> float:
     return 2.0 * (weight * (f * c1 * c2 + s1 * s2) - h * c1 * c2)
 
 
-@dataclass(frozen=True)
-class FieldStats:
+class FieldStats(Frozen):
     """Field means, correlation and covariance for one parameter point."""
 
     e1: float

@@ -3,19 +3,82 @@
 Small dense complex linear algebra: single-mode state vectors, joint states
 of two cavities, field operators, expectation values and a counter-based
 random stream for reproducible Monte Carlo. All states and operators are
-immutable after construction, so everything here behaves as a pure
+immutable after construction (see ``Frozen``, whose subclasses refuse
+assignment and hold read-only arrays), so everything here behaves as a pure
 function.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DEFAULT_N_MAX
 
 NORM_TOL = 1e-12   # analytic identities (norms, hermiticity)
+
+
+class Frozen:
+    """Immutable value type over the fields its subclass annotates.
+
+    A subclass lists its fields as annotations, in order, after those of a
+    Frozen parent; a class attribute of the same name is that field's
+    default. The constructor binds
+    positional and keyword arguments to the fields, then calls
+    ``__post_init__``, which may normalize a field with
+    ``object.__setattr__``. Afterwards assignment and deletion raise
+    AttributeError. Equality, hashing and repr go over the field values, as
+    for a frozen dataclass, but no code is generated per class, so defining
+    one costs no more than any class statement.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__annotations__)  # the parent's come first
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} arguments, got {len(args)}")
+        values = self.__dict__
+        values.update(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__} is missing argument {name!r}")
+        for name in kwargs:
+            which = "a second value for" if name in fields else "an unknown argument"
+            raise TypeError(f"{cls.__name__} got {which} {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 def _unit_amplitudes(values, ndim: int) -> np.ndarray:
@@ -29,8 +92,7 @@ def _unit_amplitudes(values, ndim: int) -> np.ndarray:
     return amps
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Frozen):
     """State of a single cavity mode, indexed by photon number 0..n_max."""
 
     amplitudes: np.ndarray
@@ -64,8 +126,7 @@ class StateVector:
         return cls(amps)
 
 
-@dataclass(frozen=True)
-class TwoCavityState:
+class TwoCavityState(Frozen):
     """Joint pure state of two cavity modes with a common cutoff.
 
     amplitudes[m, n] is the coefficient of |m> in cavity 1 and |n> in
@@ -85,8 +146,7 @@ class TwoCavityState:
         return self.amplitudes.shape[0] - 1
 
 
-@dataclass(frozen=True)
-class FieldOperator:
+class FieldOperator(Frozen):
     """Dense operator on one cavity mode, or on a flattened joint space."""
 
     matrix: np.ndarray

@@ -57,6 +57,12 @@ def test_dichotomic_operator_spectrum():
     assert np.allclose(eigs, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_max", (0, -1))
+def test_dichotomic_operator_refuses_a_cutoff_below_one_photon(n_max):
+    with pytest.raises(ValueError, match=f"^n_max = {n_max} cannot hold a state with N = 1$"):
+        dichotomic_operator(DichotomicParams(0.3, 0.9), n_max=n_max)
+
+
 def test_dichotomic_operator_half_is_flip():
     op = dichotomic_operator(DichotomicParams(0.5, 0.0), n_max=1)
     assert np.allclose(op.matrix, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-14)

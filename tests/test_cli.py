@@ -1,6 +1,5 @@
 """Command-line interface: parsing, file formats, manifests, exit codes."""
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -306,8 +305,7 @@ def test_settings_are_numbered_from_one(tmp_path, capsys):
 
 
 def test_state_options_follow_the_state_fields():
-    fields = tuple(field.name for field in dataclasses.fields(EntangledGbsParams))
-    assert cli.STATE_OPTIONS == fields
+    assert cli.STATE_OPTIONS == EntangledGbsParams._fields
 
 
 PHYSICS = ("fock", "binomial", "fields", "bell", "dynamics")
@@ -349,6 +347,15 @@ def test_every_command_loads_the_physics_layer(tmp_path):
     code, modules = loaded_modules(tmp_path, "pscan", "maximal", "--out", "p.csv")
     assert code == 0
     assert {f"cavity_bell.{name}" for name in PHYSICS} <= modules
+
+
+def test_commands_load_no_dataclasses(tmp_path):
+    # the value types generate no code at import, so nothing loads dataclasses
+    for command in ("pscan", "sensitivity"):
+        argv = [command, "maximal", "--out", f"{command}.csv"]
+        code, modules = loaded_modules(tmp_path, *argv)
+        assert code == 0, argv
+        assert "cavity_bell.dynamics" in modules and "dataclasses" not in modules, argv
 
 
 def test_memory_error_is_reported(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from cavity_bell.bell import BellConfig, preset_config
+from cavity_bell.binomial import GbsParams, wrap_angle
+from cavity_bell.dynamics import DetectionReport, ExperimentConfig, InitialAtomPair
 from cavity_bell.fock import (
     FieldOperator,
     RandomStream,
@@ -42,6 +45,75 @@ def test_state_is_immutable():
     s = StateVector.fock(0, n_max=2)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.5
+
+
+def test_value_types_refuse_assignment_and_deletion():
+    cfg = preset_config("maximal", 0.5)
+    values = (StateVector.fock(0), cfg, ExperimentConfig(cfg, shots=10, seed=1), GbsParams(0.3, 1.0))
+    for value in values:
+        name = type(value)._fields[0]
+        before = getattr(value, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1
+        assert getattr(value, name) is before
+
+
+def test_value_types_compare_and_hash_by_fields():
+    cfg = ExperimentConfig(preset_config("wide", -0.4, p=0.3), shots=100, seed=7)
+    same = ExperimentConfig(preset_config("wide", -0.4, p=0.3), shots=100, seed=7)
+    assert cfg == same and cfg is not same
+    assert hash(cfg) == hash(same)
+    assert cfg != ExperimentConfig(cfg.bell, shots=100, seed=8)
+    assert GbsParams(0.3, 1.0) == GbsParams(phi=1.0, p=0.3)
+    assert hash(GbsParams(0.3, 1.0)) == hash(GbsParams(0.3, 1.0))
+    assert GbsParams(0.3, 1.0) != GbsParams(0.3, 1.0).as_binomial()  # another type
+    assert len({GbsParams(0.3, 1.0), GbsParams(0.3, 1.0), GbsParams(0.3, 2.0)}) == 2
+
+
+def test_value_types_repr_names_the_fields():
+    assert repr(GbsParams(0.25, 0.5)) == "GbsParams(p=0.25, phi=0.5)"
+    assert repr(InitialAtomPair(-0.5)) == "InitialAtomPair(eta=-0.5)"
+    assert repr(DetectionReport(0.9, 0.8, True)) == (
+        "DetectionReport(alpha=0.9, alpha_threshold=0.8, violable=True)"
+    )
+    cfg = preset_config("maximal", 1.0)
+    assert repr(ExperimentConfig(cfg, 10, 3)) == (
+        f"ExperimentConfig(bell={cfg!r}, shots=10, seed=3, detector_efficiency=1.0)"
+    )
+
+
+def test_value_types_bind_arguments_like_a_dataclass():
+    cfg = preset_config("maximal", 1.0)
+    assert ExperimentConfig(cfg, 10, 3).detector_efficiency == 1.0
+    assert ExperimentConfig(cfg, 10, 3, 0.5).detector_efficiency == 0.5
+    assert ExperimentConfig(seed=3, bell=cfg, shots=10, detector_efficiency=0.25) == (
+        ExperimentConfig(cfg, 10, 3, 0.25)
+    )
+    with pytest.raises(ValueError, match="detector efficiency"):
+        ExperimentConfig(cfg, 10, 3, detector_efficiency=1.5)
+    with pytest.raises(TypeError, match="^ExperimentConfig is missing argument 'seed'$"):
+        ExperimentConfig(cfg, 10)
+    with pytest.raises(TypeError, match="^GbsParams got an unknown argument 'theta'$"):
+        GbsParams(0.3, 1.0, theta=2.0)
+    with pytest.raises(TypeError, match="^GbsParams got a second value for 'p'$"):
+        GbsParams(0.3, 1.0, p=0.3)
+    with pytest.raises(TypeError, match="^GbsParams takes 2 arguments, got 3$"):
+        GbsParams(0.3, 1.0, 2.0)
+
+
+def test_bell_config_still_wraps_its_angles():
+    big = 1e13
+    cfg = BellConfig(0.5, big, 1.0, big, -big, 7.0, 0.5)
+    assert (cfg.theta, cfg.phi1, cfg.phi2) == (wrap_angle(big), wrap_angle(big), wrap_angle(-big))
+    assert cfg.phi1_prime == wrap_angle(7.0) and cfg.phi2_prime == 0.5
+    assert BellConfig(
+        p=0.5, theta=big, eta=1.0, phi1=big, phi2=-big, phi1_prime=7.0, phi2_prime=0.5
+    ) == cfg
+    assert GbsParams(0.3, 3 * math.pi).phi == wrap_angle(3 * math.pi)
 
 
 def test_zero_vector_rejected():
