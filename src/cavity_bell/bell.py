@@ -33,8 +33,6 @@ from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, b
 G_MIN_MAXIMAL = math.sqrt(2.0) - 1.0
 G_MIN_WIDE = 1.0 / 3.0
 
-_DEGENERATE_TOL = 1e-12
-
 #: Complex amplitudes per block of a batched evaluation (64 KiB). A block
 #: takes as many grid points as fit, and at least one, so the working arrays
 #: stay this small for any grid length and cutoff.
@@ -167,24 +165,16 @@ def dichotomic_gbs_matrix(p: float, phi: float, phi_prime: float) -> GbsBasisMat
 def dichotomic_eigenstates(
     p: float, phi: float, phi_prime: float, n_max: int = DEFAULT_N_MAX
 ) -> tuple[StateVector, StateVector]:
-    """Eigenstates of F_p(phi') expressed through the basis pair at phase phi.
+    """Eigenstates (plus, minus) of F_p(phi') for eigenvalues +1 and -1.
 
-    Returns (plus, minus) for eigenvalues +1 and -1. The +1 eigenstate is
-    |p, phi'> up to a global phase. When the off-diagonal element vanishes
-    (for instance phi' = phi) the rotated basis pair is returned directly.
+    F_p(phi') is built to assign +1 to |p, phi'> and -1 to its orthogonal
+    partner, so those are the pair, whatever the basis phase phi. phi is
+    checked as dichotomic_gbs_matrix, which writes F_p(phi') in that basis,
+    checks it.
     """
-    block = dichotomic_gbs_matrix(p, phi, phi_prime)
-    if abs(block.f12) < _DEGENERATE_TOL:
-        base = GbsParams(p, phi_prime)
-        return gbs_state(base, n_max), gbs_state(orthogonal_partner(base), n_max)
-    e1 = gbs_state(GbsParams(p, phi), n_max).amplitudes
-    e2 = gbs_state(orthogonal_partner(GbsParams(p, phi)), n_max).amplitudes
-    mod = abs(block.f12)
-    norm = math.hypot(mod, 1.0 - block.f11)
-    phase = mod / block.f12  # exp(-i arg f12)
-    plus = (mod * e1 + (1.0 - block.f11) * phase * e2) / norm
-    minus = ((block.f11 - 1.0) * np.conj(phase) * e1 + mod * e2) / norm
-    return StateVector(plus), StateVector(minus)
+    dichotomic_gbs_matrix(p, phi, phi_prime)
+    base = GbsParams(p, phi_prime)
+    return gbs_state(base, n_max), gbs_state(orthogonal_partner(base), n_max)
 
 
 def degree_of_entanglement(eta: float) -> float:
@@ -221,7 +211,7 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
 
     with a_j the angle relative to theta and s_j = sin(a_j / 2).
     """
-    return _correlation(config.p, config.theta, _weight(config.eta), phi_a, phi_b)
+    return _correlations(config.p, config.theta, _weight(config.eta), ((phi_a, phi_b),))[0]
 
 
 def _weight(eta):
@@ -230,22 +220,24 @@ def _weight(eta):
     return eta / (1.0 + eta * eta)
 
 
-def _correlation(p, theta: float, weight, phi_a: float, phi_b: float):
-    # The closed form of bell_correlation with weight = _weight(eta); p and
-    # the weight may be floats or arrays of one length, theta and the angles
-    # are floats.
-    a1 = phi_a - theta
-    a2 = phi_b - theta
-    s1 = math.sin(0.5 * a1) ** 2
-    s2 = math.sin(0.5 * a2) ** 2
+def _correlations(p, theta: float, weight, settings) -> list:
+    # The closed form of bell_correlation at each (phi_a, phi_b) of settings,
+    # with weight = _weight(eta). p and the weight may be floats or arrays of
+    # one length, theta and the angles are floats. The p terms are taken
+    # once, and squared as d * d like _weight, so a point and a grid round
+    # alike.
     k = 8.0 * p * (1.0 - p)
-    bracket = (
-        s1
-        + s2
-        - k * s1 * s2
-        + weight * (4.0 * (1.0 - 2.0 * p) ** 2 * s1 * s2 + math.sin(a1) * math.sin(a2))
-    )
-    return -1.0 + k * bracket
+    d = 1.0 - 2.0 * p
+    q = 4.0 * (d * d)
+    out = []
+    for phi_a, phi_b in settings:
+        a1 = phi_a - theta
+        a2 = phi_b - theta
+        s1 = math.sin(0.5 * a1) ** 2
+        s2 = math.sin(0.5 * a2) ** 2
+        bracket = s1 + s2 - k * s1 * s2 + weight * (q * s1 * s2 + math.sin(a1) * math.sin(a2))
+        out.append(-1.0 + k * bracket)
+    return out
 
 
 def dichotomic_pair_expectation(amplitudes, p, phi_a: float, phi_b: float) -> np.ndarray:
@@ -264,8 +256,11 @@ def dichotomic_pair_expectation(amplitudes, p, phi_a: float, phi_b: float) -> np
 
 
 def bell_function(config: BellConfig) -> float:
-    """CHSH combination S_B from closed-form correlations."""
-    return chsh(*(bell_correlation(config, phi_a, phi_b) for phi_a, phi_b in config.settings))
+    """CHSH combination S_B from closed-form correlations.
+
+    The same code as bell_function_vs_p, so a point equals its grid value.
+    """
+    return chsh(*_correlations(config.p, config.theta, _weight(config.eta), config.settings))
 
 
 def bell_function_operator(config: BellConfig, n_max: int = DEFAULT_N_MAX) -> float:
@@ -303,16 +298,15 @@ def bell_function_vs_p(
 ) -> np.ndarray:
     """Closed-form S_B over a grid of (p, eta) points at fixed theta and angles.
 
-    The closed form of bell_correlation runs once per setting on each block
-    of points (see _bell_grid), so the working arrays do not grow with the
-    grid; the weight eta/(1+eta^2) is taken once per block, and the angle
-    terms do not depend on the point and stay scalars.
+    The closed form of bell_function runs on each block of points (see
+    _bell_grid), so the working arrays do not grow with the grid; the p
+    terms and the weight eta/(1+eta^2) are taken once per block, and the
+    angle terms do not depend on the point and stay scalars.
     """
     config = BellConfig(0.5, theta, 0.0, *angles)  # checks theta and the angles
 
     def block_s_b(p, eta):
-        weight = _weight(eta)
-        return chsh(*(_correlation(p, config.theta, weight, a, b) for a, b in config.settings))
+        return chsh(*_correlations(p, config.theta, _weight(eta), config.settings))
 
     return _bell_grid(p_values, eta, 1, block_s_b)
 
@@ -365,6 +359,8 @@ def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[
     The ladder starts at reduce_angle(theta), the phase BellConfig keeps,
     so no offset is lost to rounding at large |theta|.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     theta = reduce_angle(theta)
     if kind == "maximal":
         return (theta, theta + math.pi / 4.0, theta + math.pi / 2.0, theta + 3.0 * math.pi / 4.0)

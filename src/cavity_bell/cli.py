@@ -189,12 +189,10 @@ def cmd_scan(args) -> int:
         raise ValueError("G grid must lie within [0, 1]")
     np.clip(degrees, 0.0, 1.0, out=degrees)
     angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
-    # The analytic column holds the weights eta until the oracle has read them.
-    analytic = np.empty(count)
+    analytic, s_b_operator = np.empty(count), np.empty(count)
     for block in blocks(count, 1):
-        analytic[block] = eta_for_degree(degrees[block])
-    s_b_operator = bell_function_operator_vs_p(args.theta, analytic, angles, 0.5)
-    for block in blocks(count, 1):
+        eta = eta_for_degree(degrees[block])
+        s_b_operator[block] = bell_function_operator_vs_p(args.theta, eta, angles, 0.5)
         analytic[block] = analytic_s_b(args.preset, degrees[block])
     _write_csv(args.out, "G,s_b_analytic,s_b_operator", (degrees, analytic, s_b_operator))
     write_manifest(args)

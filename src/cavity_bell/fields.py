@@ -72,42 +72,6 @@ def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) 
     )
 
 
-def field_expectation(params: EntangledGbsParams, cavity: int) -> float:
-    """Mean field <E_j> in cavity 1 or 2.
-
-    The two branches carry opposite single-cavity means, so the result is
-    damped by (1 - eta^2)/(1 + eta^2) and vanishes at |eta| = 1. Cavity 2
-    carries the opposite sign because the partner states swap roles there.
-    """
-    if cavity not in (1, 2):
-        raise ValueError(f"cavity must be 1 or 2, got {cavity!r}")
-    p = params.p1 if cavity == 1 else params.p2
-    theta = params.theta1 if cavity == 1 else params.theta2
-    sign = 1.0 if cavity == 1 else -1.0
-    weight = (1.0 - params.eta**2) / (1.0 + params.eta**2)
-    return sign * 2.0 * math.sqrt(p * (1.0 - p)) * weight * math.cos(theta)
-
-
-def _f_h(params: EntangledGbsParams) -> tuple[float, float]:
-    f = (2.0 * params.p1 - 1.0) * (2.0 * params.p2 - 1.0)
-    h = 2.0 * math.sqrt(params.p1 * params.p2 * (1.0 - params.p1) * (1.0 - params.p2))
-    return f, h
-
-
-def field_correlation(params: EntangledGbsParams) -> float:
-    """Two-cavity correlation <E_1 E_2>.
-
-    Closed form 2 * (eta/(1+eta^2) * (f c1 c2 + s1 s2) - h c1 c2) with
-    f = (2 p1 - 1)(2 p2 - 1), h = 2 sqrt(p1 p2 (1-p1)(1-p2)) and
-    c_j = cos(theta_j), s_j = sin(theta_j).
-    """
-    f, h = _f_h(params)
-    c1, c2 = math.cos(params.theta1), math.cos(params.theta2)
-    s1, s2 = math.sin(params.theta1), math.sin(params.theta2)
-    weight = params.eta / (1.0 + params.eta**2)
-    return 2.0 * (weight * (f * c1 * c2 + s1 * s2) - h * c1 * c2)
-
-
 class FieldStats(Frozen):
     """Field means, correlation and covariance for one parameter point."""
 
@@ -124,23 +88,51 @@ class FieldStats(Frozen):
 
 
 def field_covariance(params: EntangledGbsParams) -> FieldStats:
-    """Covariance <E_1 E_2> - <E_1><E_2> together with the moments.
+    """Field means, correlation and covariance from their closed forms.
 
-    At |eta| = 1 the means vanish and the covariance equals the raw
-    correlation. For eta = +1, p1 = p2 = 1/2 it reduces to
-    -cos(theta1 + theta2); for eta = -1 to -cos(theta1 - theta2). The sign
-    pairing was fixed against the operator oracle.
+    With f = (2 p1 - 1)(2 p2 - 1), h = 2 sqrt(p1 p2 (1-p1)(1-p2)),
+    c_j = cos(theta_j), s_j = sin(theta_j), w = eta/(1+eta^2) and the
+    damping D = (1-eta^2)/(1+eta^2):
+
+        <E_1> =  2 sqrt(p1(1-p1)) D c1
+        <E_2> = -2 sqrt(p2(1-p2)) D c2
+        <E_1 E_2> = 2 (w (f c1 c2 + s1 s2) - h c1 c2)
+        <E_1 E_2> - <E_1><E_2> = 2 (w (f c1 c2 + s1 s2) - (1 - D^2) h c1 c2)
+
+    The two branches carry opposite single-cavity means, hence the damping
+    and the opposite sign in cavity 2, where the partner states swap roles.
+    At |eta| = 1 the means vanish and the covariance equals the correlation;
+    for eta = +1, p1 = p2 = 1/2 it reduces to -cos(theta1 + theta2), for
+    eta = -1 to -cos(theta1 - theta2). The sign pairing was fixed against
+    the operator oracle. The covariance keeps its own closed form, so the
+    FieldStats consistency check tests the moments against it.
     """
-    f, h = _f_h(params)
+    p1, p2, eta = params.p1, params.p2, params.eta
+    f = (2.0 * p1 - 1.0) * (2.0 * p2 - 1.0)
+    h = 2.0 * math.sqrt(p1 * p2 * (1.0 - p1) * (1.0 - p2))
     c1, c2 = math.cos(params.theta1), math.cos(params.theta2)
     s1, s2 = math.sin(params.theta1), math.sin(params.theta2)
-    eta = params.eta
-    weight = eta / (1.0 + eta**2)
+    mixed = eta / (1.0 + eta**2) * (f * c1 * c2 + s1 * s2)
     damping = (1.0 - eta**2) / (1.0 + eta**2)
-    covariance = 2.0 * (weight * (f * c1 * c2 + s1 * s2) - (1.0 - damping**2) * h * c1 * c2)
-    e1 = field_expectation(params, 1)
-    e2 = field_expectation(params, 2)
-    return FieldStats(e1=e1, e2=e2, e1e2=field_correlation(params), covariance=covariance)
+    return FieldStats(
+        e1=2.0 * math.sqrt(p1 * (1.0 - p1)) * damping * c1,
+        e2=-2.0 * math.sqrt(p2 * (1.0 - p2)) * damping * c2,
+        e1e2=2.0 * (mixed - h * c1 * c2),
+        covariance=2.0 * (mixed - (1.0 - damping**2) * h * c1 * c2),
+    )
+
+
+def field_expectation(params: EntangledGbsParams, cavity: int) -> float:
+    """Mean field <E_j> in cavity 1 or 2 (see field_covariance)."""
+    if cavity not in (1, 2):
+        raise ValueError(f"cavity must be 1 or 2, got {cavity!r}")
+    stats = field_covariance(params)
+    return stats.e1 if cavity == 1 else stats.e2
+
+
+def field_correlation(params: EntangledGbsParams) -> float:
+    """Two-cavity correlation <E_1 E_2> (see field_covariance)."""
+    return field_covariance(params).e1e2
 
 
 def field_expectation_operator(

@@ -114,6 +114,18 @@ def test_eigenstates_of_rotated_operator():
         assert abs(abs(inner(plus, target)) - 1.0) < 1e-10
 
 
+def test_eigenstates_are_the_defining_pair():
+    # F_p(phi') assigns +1 to |p, phi'> and -1 to its partner, whatever the
+    # basis phase phi the question is put in
+    for p, phi, phip in ((0.3, 0.5, 0.5), (0.7, -1.1, 2.4), (0.5, 0.0, math.pi / 2)):
+        plus, minus = dichotomic_eigenstates(p, phi, phip, n_max=2)
+        base = GbsParams(p, phip)
+        assert np.array_equal(plus.amplitudes, gbs_state(base, 2).amplitudes)
+        assert np.array_equal(minus.amplitudes, gbs_state(orthogonal_partner(base), 2).amplitudes)
+    with pytest.raises(ValueError, match="^phi must be finite, got nan$"):
+        dichotomic_eigenstates(0.5, math.nan, 0.0)
+
+
 def test_eigenstates_degenerate_case():
     plus, minus = dichotomic_eigenstates(0.3, 0.5, 0.5, n_max=2)
     assert abs(inner(plus, gbs_state(GbsParams(0.3, 0.5), 2)) - 1.0) < 1e-14
@@ -285,6 +297,27 @@ def test_closed_forms_match_operator_at_large_phase(theta):
     for offsets in ((0.0, 0.0, 0.0, 0.0), (0.1, math.pi / 4, -2.0, 3 * math.pi / 4)):
         cfg = BellConfig(0.4, theta, 0.8, *(theta + offset for offset in offsets))
         assert abs(bell_function(cfg) - bell_function_operator(cfg)) < 1e-12
+
+
+def test_point_equals_grid_value():
+    # bell_function and bell_function_vs_p share one closed form, so a point
+    # and its grid value agree to the bit; these three rounded apart when the
+    # point squared (1-2p) with libm pow
+    for kind, eta, p in (
+        ("wide", 1.0, 0.40244729137474977),
+        ("wide", 0.5, 0.18660241067064376),
+        ("maximal", 0.5, 0.18160544449105476),
+    ):
+        (s_b,) = bell_function_vs_p(0.0, eta, angle_preset(kind), p)
+        assert bell_function(preset_config(kind, eta, p=p)) == float(s_b)
+    rng = np.random.default_rng(18)
+    for _ in range(2000):
+        kind = ("maximal", "wide")[int(rng.integers(2))]
+        eta, p = float(rng.uniform(-2.0, 2.0)), float(rng.uniform())
+        theta = float(rng.uniform(-4.0, 4.0))
+        angles = angle_preset(kind, theta, eta_sign=1.0 if eta >= 0 else -1.0)
+        (s_b,) = bell_function_vs_p(theta, eta, angles, p)
+        assert bell_function(preset_config(kind, eta, p=p, theta=theta)) == float(s_b)
 
 
 def test_scan_oracle_at_large_cutoff():

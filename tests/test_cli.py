@@ -271,6 +271,11 @@ def test_error_exit_codes(tmp_path, capsys):
         (["sensitivity", "maximal", "--eta", "1e200"], "eta"),
         # the multinomial counts are int64
         (["simulate", "maximal", "--shots", str(2**63)], "shots"),
+        # an infinite phase is refused before the preset ladder reduces it
+        (["scan", "maximal", "--theta", "inf"], "theta"),
+        (["pscan", "maximal", "--theta=-inf"], "theta"),
+        (["simulate", "maximal", "--theta", "1e400"], "theta"),
+        (["sensitivity", "maximal", "--theta", "1e308pi"], "theta"),
     ]
     for argv, field in [(argv, "") for argv in failing] + named:
         assert main(argv + ["--out", str(out)]) == 1, argv
