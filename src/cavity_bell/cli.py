@@ -51,10 +51,8 @@ def parse_angle(text: str) -> float:
     return float(t)
 
 
-def parse_grid(text: str):
-    """Parse "start:stop:step" into the float64 vector of inclusive grid points."""
-    import numpy as np
-
+def _grid_spec(text: str) -> tuple[float, float, int]:
+    """Check "start:stop:step" and return start, step and the number of points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:step, got {text!r}")
@@ -67,23 +65,49 @@ def parse_grid(text: str):
         raise ValueError("grid stop must not be below start")
     if not (stop - start) / step + 1.0 <= MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    # start + i * step, built in place so that the grid is one vector
-    points = np.arange(int(math.floor((stop - start) / step + 1e-9)) + 1, dtype=float)
-    points *= step
-    points += start
-    return points
+    return start, step, int(math.floor((stop - start) / step + 1e-9)) + 1
+
+
+def _fill_grid(out, start: float, step: float):
+    """Write start + i * step into out[i], one block of points at a time; return out."""
+    import numpy as np
+
+    from .bell import blocks
+
+    for block in blocks(len(out), 1):
+        points = out[block]
+        points[...] = np.arange(block.start, block.start + len(points), dtype=float)
+        points *= step
+        points += start
+    return out
+
+
+def parse_grid(text: str):
+    """Parse "start:stop:step" into the float64 vector of inclusive grid points."""
+    import numpy as np
+
+    start, step, count = _grid_spec(text)
+    return _fill_grid(np.empty(count), start, step)
 
 
 def parse_value_list(text: str):
-    """Parse a grid spec or a comma list into a float64 vector."""
-    import numpy as np
+    """Parse a grid spec or a comma list of floats, without storing the values.
 
+    Returns (count, fill): fill(out) writes the values into ``out``, a
+    float64 vector of length count, which may be one field of a record
+    array. So the caller holds the values once, where it keeps them.
+    """
     if ":" in text:
-        return parse_grid(text)
+        start, step, count = _grid_spec(text)
+        return count, lambda out: _fill_grid(out, start, step)
     values = [float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"no values in {text!r}")
-    return np.array(values)
+
+    def fill(out):
+        out[...] = values
+
+    return len(values), fill
 
 
 def fmt(value: float) -> str:
@@ -311,12 +335,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    from .dynamics import ExperimentConfig, timing_sensitivity
+    from .dynamics import ExperimentConfig, sensitivity_records, timing_sensitivity
 
-    epsilons = parse_value_list(args.epsilons)
+    count, fill = parse_value_list(args.epsilons)
+    rows = sensitivity_records(count)
+    fill(rows.epsilon)  # the errors are parsed into the records, so held once
     # The sweep draws no random numbers; shots and seed only fill the config.
     experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0)
-    rows = timing_sensitivity(experiment, epsilons)
+    rows = timing_sensitivity(experiment, rows)
     _write_csv(args.out, "epsilon,fidelity,s_b", (rows.epsilon, rows.fidelity, rows.s_b))
     write_manifest(args)
     print(f"wrote {args.out} ({len(rows)} rows)")

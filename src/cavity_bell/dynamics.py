@@ -137,6 +137,15 @@ def _apply(state: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarr
     state. Each state is laid out and multiplied as ``np.tensordot(op,
     state, ...)`` would do for that state alone, so a batch reproduces the
     single-state numbers bit for bit.
+
+    Each output amplitude is one matmul sum over the operator's input
+    index, taken in index order. A larger Fock cutoff only inserts exact
+    zero terms into that sum, which leave every partial sum as it was, so
+    the protocol gives the same bits at a cutoff of 1 as at 2 (see
+    _bell_protocol). The probe readout applies its 2 x 2 Ramsey rotations
+    to all rows as one matrix, which forms each amplitude from the same two
+    terms. Sums grouped otherwise do round differently: a 4-term np.vdot
+    against a 9-term one, or one 16-term reduction against two 4-term ones.
     """
     moved = [axis + 1 for axis in axes]
     order = [0, *moved, *(axis for axis in range(1, state.ndim) if axis not in moved)]
@@ -147,30 +156,34 @@ def _apply(state: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarr
     return out.transpose(sorted(range(state.ndim), key=order.__getitem__))  # order's inverse
 
 
-def _generation_joint(params: EntangledGbsParams, pulses: np.ndarray) -> np.ndarray:
-    """Joint amplitudes (batch, atom1, atom2, field1, field2) after the protocol.
+def _rotated_pair(params: EntangledGbsParams, d: int) -> np.ndarray:
+    """Amplitudes (1, atom1, atom2, field1, field2) of the atom pair after its Ramsey zones.
 
-    The atom pair starts in (|up down> + eta |down up>) / sqrt(1 + eta^2)
-    with the eta of ``params``. Row k uses the pulse unitary pulses[k] (see
-    _jc_stack) for both cavities.
-
-    Each atom crosses its Ramsey zone, _basis_rotation(p_j, theta_j), then
-    its cavity. The relative phase of the initial atomic superposition is
-    locked to the two field phases, exp(i (theta2 - theta1)); the pulse
-    applied to an excited atom imprints a phase exp(-i theta_j) on its
-    branch, so this referencing is what makes the two branches interfere
-    with the plain real weight eta. With equal field phases it is the
-    identity.
+    The pair starts in (|up down> + eta |down up>) / sqrt(1 + eta^2) with
+    the eta of ``params``, and the cavities hold d levels each, both empty.
+    Each atom crosses its Ramsey zone, _basis_rotation(p_j, theta_j). The
+    relative phase of the initial atomic superposition is locked to the two
+    field phases, exp(i (theta2 - theta1)); the pulse applied to an excited
+    atom imprints a phase exp(-i theta_j) on its branch, so this referencing
+    is what makes the two branches interfere with the plain real weight
+    eta. With equal field phases it is the identity.
     """
-    d = pulses.shape[-1]
     state = np.zeros((1, 2, 2, d, d), dtype=complex)
     rel = cmath.exp(1j * (params.theta2 - params.theta1))
     norm = norm_const(params.eta)
     state[0, ATOM_UP, ATOM_DOWN, 0, 0] = norm
     state[0, ATOM_DOWN, ATOM_UP, 0, 0] = norm * params.eta * rel
     state = _apply(state, _basis_rotation(params.p1, params.theta1), (0,))
-    state = _apply(state, _basis_rotation(params.p2, params.theta2), (1,))
-    state = _apply(state, pulses, (0, 2))
+    return _apply(state, _basis_rotation(params.p2, params.theta2), (1,))
+
+
+def _generation_joint(pair: np.ndarray, pulses: np.ndarray) -> np.ndarray:
+    """Joint amplitudes (batch, atom1, atom2, field1, field2) after the protocol.
+
+    ``pair`` comes from _rotated_pair. Each atom then crosses its cavity;
+    row k uses the pulse unitary pulses[k] (see _jc_stack) for both.
+    """
+    state = _apply(pair, pulses, (0, 2))
     return _apply(state, pulses, (1, 3))
 
 
@@ -191,7 +204,8 @@ def generate_entangled_gbs(
     both p lie in [0, 1] and all five parameters are finite.
     """
     params = EntangledGbsParams(p1=p1, p2=p2, theta1=theta1, theta2=theta2, eta=pair.eta)
-    joint = _generation_joint(params, _jc_stack(np.array([PROBE_PULSE_AREA]), n_max))[0]
+    pulses = _jc_stack(np.array([PROBE_PULSE_AREA]), n_max)
+    joint = _generation_joint(_rotated_pair(params, n_max + 1), pulses)[0]
     probs = np.sum(np.abs(joint) ** 2, axis=(2, 3))
     ground = joint[ATOM_DOWN, ATOM_DOWN]
     weight = float(np.linalg.norm(ground))
@@ -261,42 +275,84 @@ def _probe_pulses(joint: np.ndarray, pulses: np.ndarray) -> np.ndarray:
     return _apply(full, pulses, (3, 5))
 
 
-def _probe_outcome_probabilities(
-    joint: np.ndarray, pulses: np.ndarray, p: float, settings
-) -> np.ndarray:
+def _readout(p: float, settings) -> list:
+    """The probes' Ramsey zones, grouped by the first probe's angle.
+
+    One entry per distinct phi_a, in order of first use: its rotation, the
+    stack of rotations for the phi_b paired with it, and the indices of
+    those settings.
+    """
+    groups: dict = {}
+    for index, (phi_a, phi_b) in enumerate(settings):
+        groups.setdefault(phi_a, []).append((index, phi_b))
+    return [
+        (
+            _basis_rotation(p, phi_a),
+            np.stack([_basis_rotation(p, phi_b) for _, phi_b in pairs]),
+            [index for index, _ in pairs],
+        )
+        for phi_a, pairs in groups.items()
+    ]
+
+
+def _probe_outcome_probabilities(joint: np.ndarray, pulses: np.ndarray, readout) -> np.ndarray:
     """Joint probe-atom outcome probabilities for each pair of settings.
 
     The probes cross the cavities as in _probe_pulses, then their Ramsey
-    zones exactly as in probe_measure. The generation atoms are kept in
-    the sum, which is the same as tracing them out, so no conditioning on
-    their state is assumed. Returns probs[k, s, q1, q2] for row k and
-    setting s over the probe indices (0 = down = outcome -1, 1 = up =
-    outcome +1). Settings that share phi_a in a row, as the four CHSH
-    settings do, share its rotation of the first probe.
+    zones (``readout``, from _readout) exactly as in probe_measure. The
+    generation atoms are kept in the sum, which is the same as tracing them
+    out, so no conditioning on their state is assumed. Returns
+    probs[k, s, q1, q2] for row k and setting s over the probe indices
+    (0 = down = outcome -1, 1 = up = outcome +1).
+
+    Each phi_a rotates the first probe of every row in one matrix
+    product, and all of its phi_b rotate the second probe in one more, with
+    their rotations stacked. |amplitude|^2 is summed over (field1, field2)
+    first and then over (atom1, atom2), the order in which the per-setting
+    np.sum(..., axis=(1, 2, 5, 6)) of the stage-by-stage route sums.
     """
     full = _probe_pulses(joint, pulses)
-    probs = np.empty((len(joint), len(settings), 2, 2))
-    rotated_phi = None
-    for index, (phi_a, phi_b) in enumerate(settings):
-        if phi_a != rotated_phi:
-            rotated = _apply(full, _basis_rotation(p, phi_a), (2,))
-            rotated_phi = phi_a
-        out = _apply(rotated, _basis_rotation(p, phi_b), (3,))
-        probs[:, index] = np.sum(np.abs(out) ** 2, axis=(1, 2, 5, 6))
-        del out  # so that the next output is made beside one rotated stack only
+    rows = len(joint)
+    probs = np.empty((rows, sum(len(indices) for *_, indices in readout), 2, 2))
+    # (probe1, probe2 atom1 atom2 row field1 field2), probe 1 leading
+    flat = full.transpose(3, 4, 1, 2, 0, 5, 6).reshape(2, -1)
+    for rotation_a, rotations_b, indices in readout:
+        # (probe2, probe1 atom1 atom2 row field1 field2), probe 2 leading
+        rotated = (rotation_a @ flat).reshape(2, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        weights = np.abs(rotations_b.reshape(-1, 2) @ rotated) ** 2
+        # (phi_b, probe2, probe1, atom1 atom2, row, field1 field2)
+        weights = weights.reshape(len(indices), 2, 2, 4, rows, -1).sum(axis=5).sum(axis=3)
+        probs[:, indices] = weights.transpose(3, 0, 2, 1)  # (row, setting, probe1, probe2)
     return probs
 
 
-def _bell_protocol(bell: BellConfig, gts: np.ndarray, n_max: int = DEFAULT_N_MAX):
+def _bell_protocol(bell: BellConfig, relative_errors: np.ndarray, n_max: int = 1):
     """Generate the symmetric state and probe it at the four settings.
 
-    Every pulse of row k has area gts[k]. Returns the generated joint
-    amplitudes (k, atom1, atom2, field1, field2) and the probe outcome
-    probabilities (k, setting, q1, q2).
+    Every pulse of row k has area (pi/2)(1 + relative_errors[k]). Yields,
+    for each block of rows (see bell.blocks), its slice, the generated
+    joint amplitudes (k, atom1, atom2, field1, field2) and the probe
+    outcome probabilities (k, setting, q1, q2). The Ramsey-rotated atom
+    pair and every readout rotation are made once, before the first block.
+
+    A cavity written by one excited atom and read by one ground-state
+    probe never holds more than one photon, so the default cutoff is 1.
+    The commands' cutoff of 2 only adds exact zeros, in places that leave
+    every product and sum as it was (see _apply), so the amplitudes and
+    probabilities are the bits of the stage-by-stage route at cutoff 2;
+    tests/test_dynamics.py holds the two routes equal. Higher cutoffs can
+    regroup the field sums and move the last bit
+    (tests/test_properties.py::test_fock_cutoff_is_inert).
     """
-    pulses = _jc_stack(gts, n_max)
-    joint = _generation_joint(bell.state_params, pulses)
-    return joint, _probe_outcome_probabilities(joint, pulses, bell.p, bell.settings)
+    pair = _rotated_pair(bell.state_params, n_max + 1)
+    readout = _readout(bell.p, bell.settings)
+    # the largest stack is one phi_a's batched readout: its phi_b times the
+    # (atom1, atom2, probe1, probe2, field1, field2) amplitudes of a row
+    row_size = max(len(indices) for *_, indices in readout) * pair.size * 4
+    for part in blocks(len(relative_errors), row_size):
+        pulses = _jc_stack(PROBE_PULSE_AREA * (1.0 + relative_errors[part]), n_max)
+        joint = _generation_joint(pair, pulses)
+        yield part, joint, _probe_outcome_probabilities(joint, pulses, readout)
 
 
 def _correlation_from_probs(probs: np.ndarray) -> np.ndarray:
@@ -329,7 +385,7 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
     notes = ()
     if abs(bell_cfg.p - 0.5) > 1e-12:
         notes = (("p", "p is not 1/2, where the Bell violation is maximal"),)
-    _, probs = _bell_protocol(bell_cfg, np.array([PROBE_PULSE_AREA]))
+    ((_, _, probs),) = _bell_protocol(bell_cfg, np.zeros(1))
     alpha = cfg.detector_efficiency
     detection = np.array([1.0 - alpha, alpha])
     detection_cells = np.outer(detection, detection).ravel()  # (d_a, d_b)
@@ -413,22 +469,42 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> np.recarray:
     operator-exact Bell value of the perturbed protocol at the configured
     angles. No sampling is involved. The sweep is symmetric under
     epsilon -> -epsilon. Each block of errors (see bell.blocks) runs through
-    generation and probing as one batch. Returns one record per error, with
-    the fields epsilon, fidelity and s_b, which are also the three columns.
+    generation and probing as one batch (see _bell_protocol). Returns one
+    record per error, with the fields epsilon, fidelity and s_b, which are
+    also the three columns.
+
+    relative_errors is a sequence of errors, or a record array from
+    sensitivity_records whose epsilon field holds them. That array is then
+    filled in place and returned, so the errors are never held twice.
     """
-    epsilons = np.asarray(relative_errors, dtype=float)
-    outside = epsilons[~(np.abs(epsilons) < 0.5)]
-    if outside.size:
-        raise ValueError(f"relative timing error {float(outside[0])!r} outside (-0.5, 0.5)")
+    if isinstance(relative_errors, np.recarray):
+        rows = relative_errors
+    else:
+        epsilons = np.asarray(relative_errors, dtype=float)
+        rows = sensitivity_records(epsilons.size)
+        rows.epsilon = epsilons
+    # field views taken once: each recarray attribute lookup builds a new view
+    epsilons, fidelity, s_b = rows.epsilon, rows.fidelity, rows.s_b
+    # min and max allocate nothing per row, and a NaN fails both comparisons
+    if epsilons.size and not (epsilons.min() > -0.5 and epsilons.max() < 0.5):
+        bad = float(epsilons[~(np.abs(epsilons) < 0.5)][0])
+        raise ValueError(f"epsilons must lie in (-0.5, 0.5), got {bad!r}")
     bell_cfg = cfg.bell
-    target = entangled_gbs_state(bell_cfg.state_params)
-    rows = np.recarray(epsilons.size, [("epsilon", float), ("fidelity", float), ("s_b", float)])
-    rows.epsilon = epsilons
-    # the probe stage holds 16 amplitudes (atom1, atom2, probe1, probe2) per field entry
-    for part in blocks(epsilons.size, 16 * target.amplitudes.size):
-        joint, probs = _bell_protocol(bell_cfg, PROBE_PULSE_AREA * (1.0 + epsilons[part]))
-        overlap = braket(target.amplitudes, joint[:, ATOM_DOWN, ATOM_DOWN])
+    target = entangled_gbs_state(bell_cfg.state_params).amplitudes
+    for part, joint, probs in _bell_protocol(bell_cfg, epsilons):
+        # The protocol runs at a cutoff of one photon. The overlap still sums
+        # over the target's levels, with the rest of the block zero, because
+        # a shorter sum rounds differently.
+        d = joint.shape[-1]
+        ground = np.zeros((len(joint),) + target.shape, dtype=complex)
+        ground[:, :d, :d] = joint[:, ATOM_DOWN, ATOM_DOWN]
+        overlap = braket(target, ground)
         # hypot, not np.abs: it rounds like abs() on a single complex number.
-        rows.fidelity[part] = np.hypot(overlap.real, overlap.imag) ** 2
-        rows.s_b[part] = chsh(*_correlation_from_probs(probs).T)
+        fidelity[part] = np.hypot(overlap.real, overlap.imag) ** 2
+        s_b[part] = chsh(*_correlation_from_probs(probs).T)
     return rows
+
+
+def sensitivity_records(count: int) -> np.recarray:
+    """An unfilled record array of ``count`` timing_sensitivity rows."""
+    return np.recarray(count, [("epsilon", float), ("fidelity", float), ("s_b", float)])

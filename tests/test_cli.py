@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cavity_bell import cli
@@ -49,8 +50,24 @@ def test_parse_grid():
         parse_grid("0:1:-0.5")
     with pytest.raises(ValueError):
         parse_grid("1:0:0.5")
-    assert parse_value_list("-0.01,0,0.01").tolist() == [-0.01, 0.0, 0.01]
-    assert parse_value_list("-0.02:0.02:0.02").tolist() == [-0.02, 0.0, 0.02]
+    # the points of a grid that spans several blocks, as one vector computes them
+    assert np.array_equal(parse_grid("-0.4:0.4:8e-5"), np.arange(10001.0) * 8e-5 + -0.4)
+
+
+def test_parse_value_list_fills_where_the_caller_keeps_the_values():
+    for text, want in (
+        ("-0.01,0,0.01", [-0.01, 0.0, 0.01]),
+        ("-0.02:0.02:0.02", [-0.02, 0.0, 0.02]),
+        ("-0.4:0.4:8e-5", parse_grid("-0.4:0.4:8e-5").tolist()),
+    ):
+        count, fill = parse_value_list(text)
+        rows = np.recarray(count, [("before", float), ("value", float), ("after", float)])
+        rows.before = rows.after = 7.0
+        fill(rows.value)
+        assert rows.value.tolist() == want, text
+        assert np.all(rows.before == 7.0) and np.all(rows.after == 7.0), text
+    with pytest.raises(ValueError, match="no values"):
+        parse_value_list(" , ")
 
 
 def test_fmt_normalizes_zero():
@@ -248,7 +265,6 @@ def test_error_exit_codes(tmp_path, capsys):
         ["simulate", "maximal", "--theta", "nan"],
         ["simulate", "maximal", "--eta", "inf"],
         ["scan", "maximal", "--theta", "nan"],
-        ["sensitivity", "maximal", "--epsilons", "nan"],
         ["generate", "--theta1", "nan"],
         ["pscan", "maximal", "--eta", "nan"],
         ["pscan", "maximal", "--step", "inf"],
@@ -276,6 +292,10 @@ def test_error_exit_codes(tmp_path, capsys):
         (["pscan", "maximal", "--theta=-inf"], "theta"),
         (["simulate", "maximal", "--theta", "1e400"], "theta"),
         (["sensitivity", "maximal", "--theta", "1e308pi"], "theta"),
+        # timing errors outside (-0.5, 0.5), from a list or a grid
+        (["sensitivity", "maximal", "--epsilons", "nan"], "epsilons"),
+        (["sensitivity", "maximal", "--epsilons", "0,0.5"], "epsilons"),
+        (["sensitivity", "maximal", "--epsilons=-0.1:0.6:0.1"], "epsilons"),
     ]
     for argv, field in [(argv, "") for argv in failing] + named:
         assert main(argv + ["--out", str(out)]) == 1, argv
@@ -461,10 +481,11 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command)
         (["pscan", "maximal", "--step", "2e-5"], 50001, 16),
         # G, s_b_analytic and s_b_operator
         (["scan", "maximal", "--grid", "0:1:2e-5"], 50001, 24),
-        # epsilon, fidelity and s_b
+        # epsilon, fidelity and s_b; the parsed errors are the epsilon field
         (["sensitivity", "maximal", "--eta", "0.7", "--epsilons=-0.4:0.4:8e-5"], 10001, 24),
+        (["sensitivity", "maximal", "--eta", "0.7", "--epsilons=-0.4:0.4:1.6e-5"], 50001, 24),
     ],
-    ids=["pscan", "scan", "sensitivity"],
+    ids=["pscan", "scan", "sensitivity", "sensitivity-50001"],
 )
 def test_grid_memory_is_one_vector_per_column(tmp_path, argv, rows, bytes_per_row):
     # a run on the default grid loads the physics layer before tracing starts
@@ -478,3 +499,26 @@ def test_grid_memory_is_one_vector_per_column(tmp_path, argv, rows, bytes_per_ro
         tracemalloc.stop()
     assert len(read(out).splitlines()) - 1 == rows
     assert peak <= 2**20 + bytes_per_row * rows, peak
+
+
+def traced_peak(argv, out):
+    """Traced peak bytes of one command run."""
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sensitivity_memory_grows_by_its_three_columns(tmp_path):
+    # From 10001 to 20001 rows the peak grows by the epsilon, fidelity and
+    # s_b fields alone, because the errors are parsed into the epsilon field.
+    # The first large run fills Python's free lists, which later runs reuse,
+    # so it runs untraced.
+    argv = ["sensitivity", "maximal", "--eta", "0.7"]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--epsilons=-0.4:0.4:4e-5", "--out", str(out)]) == 0
+    small = traced_peak(argv + ["--epsilons=-0.4:0.4:8e-5"], out)
+    large = traced_peak(argv + ["--epsilons=-0.4:0.4:4e-5"], out)
+    assert large - small <= 24 * 10000 + 2**15, (small, large)

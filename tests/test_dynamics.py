@@ -1,5 +1,6 @@
 """Pulse unitaries, probe readout, state generation, Monte Carlo runs."""
 
+import cmath
 import math
 import re
 import time
@@ -8,7 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavity_bell.bell import DichotomicParams, bell_correlation, bell_function, preset_config
+from cavity_bell.bell import (
+    DichotomicParams,
+    bell_correlation,
+    bell_function,
+    chsh,
+    preset_config,
+)
 from cavity_bell.binomial import GbsParams, gbs_state, orthogonal_partner
 from cavity_bell.dynamics import (
     ALPHA_THRESHOLD,
@@ -22,9 +29,17 @@ from cavity_bell.dynamics import (
     run_bell_experiment,
     timing_sensitivity,
 )
-from cavity_bell.dynamics import _apply, _jc_stack, _ramsey_matrix
-from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
-from cavity_bell.fock import RandomStream, StateVector, fidelity, inner
+from cavity_bell.dynamics import (
+    PROBE_PULSE_AREA,
+    _apply,
+    _basis_rotation,
+    _bell_protocol,
+    _correlation_from_probs,
+    _jc_stack,
+    _ramsey_matrix,
+)
+from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state, norm_const
+from cavity_bell.fock import RandomStream, StateVector, braket, fidelity, inner
 
 
 def test_jc_matrix_unitary():
@@ -372,3 +387,77 @@ def test_timing_sensitivity_regression_values():
     assert row.fidelity == pytest.approx(0.999753295400533, abs=1e-12)
     assert row.s_b == pytest.approx(2.82703163886845, abs=1e-11)
 
+
+
+def _reference_protocol(bell, gts):
+    """The protocol stage by stage at the commands' cutoff of two photons.
+
+    One _apply per Ramsey zone and per pulse, and one readout per setting
+    summed in one np.sum: the route the one-photon kernel replaced.
+    Returns the joint amplitudes (k, atom1, atom2, field1, field2) and the
+    outcome probabilities (k, setting, q1, q2).
+    """
+    d = 3
+    pulses = _jc_stack(gts, d - 1)
+    params = bell.state_params
+    state = np.zeros((1, 2, 2, d, d), dtype=complex)
+    norm = norm_const(params.eta)
+    state[0, ATOM_UP, ATOM_DOWN, 0, 0] = norm
+    state[0, ATOM_DOWN, ATOM_UP, 0, 0] = (
+        norm * params.eta * cmath.exp(1j * (params.theta2 - params.theta1))
+    )
+    state = _apply(state, _basis_rotation(params.p1, params.theta1), (0,))
+    state = _apply(state, _basis_rotation(params.p2, params.theta2), (1,))
+    state = _apply(state, pulses, (0, 2))
+    joint = _apply(state, pulses, (1, 3))
+    full = np.zeros((len(joint), 2, 2, 2, 2, d, d), dtype=complex)
+    full[:, :, :, ATOM_DOWN, ATOM_DOWN] = joint
+    full = _apply(full, pulses, (2, 4))
+    full = _apply(full, pulses, (3, 5))
+    probs = np.empty((len(joint), len(bell.settings), 2, 2))
+    for index, (phi_a, phi_b) in enumerate(bell.settings):
+        rotated = _apply(full, _basis_rotation(bell.p, phi_a), (2,))
+        out = _apply(rotated, _basis_rotation(bell.p, phi_b), (3,))
+        probs[:, index] = np.sum(np.abs(out) ** 2, axis=(1, 2, 5, 6))
+    return joint, probs
+
+
+def _protocol_cases():
+    """(preset, eta, p, theta, errors): random points and the edges of each axis."""
+    rng = np.random.default_rng(19)
+    edges = np.array([0.0, 0.49, -0.49, 1e-9])
+    for kind in ("maximal", "wide"):
+        for eta in (0.0, -0.7, 1.0, -2.5):
+            for p in (0.0, 0.5, 1.0):
+                yield kind, eta, p, 0.3, edges
+    for _ in range(120):
+        errors = np.concatenate([edges, rng.uniform(-0.499, 0.499, int(rng.integers(1, 70)))])
+        yield (
+            str(rng.choice(["maximal", "wide"])),
+            float(rng.uniform(-3.0, 3.0)),
+            float(rng.uniform(0.0, 1.0)),
+            float(rng.uniform(-math.pi, math.pi)),
+            errors,
+        )
+
+
+def test_one_photon_protocol_is_the_cutoff_2_route_bit_for_bit():
+    for kind, eta, p, theta, errors in _protocol_cases():
+        bell = preset_config(kind, eta, p=p, theta=theta)
+        case = (kind, eta, p, theta)
+        joint_ref, probs_ref = _reference_protocol(bell, PROBE_PULSE_AREA * (1.0 + errors))
+        assert not np.any(joint_ref[..., 2:, :]) and not np.any(joint_ref[..., 2:]), case
+        stages = list(_bell_protocol(bell, errors))
+        assert np.array_equal(np.concatenate([joint for _, joint, _ in stages]),
+                              joint_ref[..., :2, :2]), case
+        assert np.array_equal(np.concatenate([probs for *_, probs in stages]), probs_ref), case
+        # the sweep's two columns, from the reference amplitudes
+        overlap = braket(entangled_gbs_state(bell.state_params).amplitudes,
+                         joint_ref[:, ATOM_DOWN, ATOM_DOWN])
+        rows = timing_sensitivity(ExperimentConfig(bell=bell, shots=1, seed=0), errors)
+        assert np.array_equal(rows.epsilon, errors), case
+        assert np.array_equal(rows.fidelity, np.hypot(overlap.real, overlap.imag) ** 2), case
+        assert np.array_equal(rows.s_b, chsh(*_correlation_from_probs(probs_ref).T)), case
+        # simulate's pulse is exactly pi/2
+        ((_, _, probs),) = _bell_protocol(bell, np.zeros(1))
+        assert np.array_equal(probs, _reference_protocol(bell, np.array([math.pi / 2]))[1]), case

@@ -182,10 +182,13 @@ def test_fock_cutoff_is_inert(p1, p2, t1, t2, eta, phis, epsilons):
     # add zero terms, which can move a sum's rounding by a few ulp.
     params = EntangledGbsParams(p1, p2, t1, t2, eta)
     bell = config(p1, t1, eta, phis)
-    gts = PROBE_PULSE_AREA * (1.0 + np.asarray(epsilons))
+    epsilons = np.asarray(epsilons)
+    gts = PROBE_PULSE_AREA * (1.0 + epsilons)
     results = []
     for cutoff in (1, 2, 5):
-        joint, probs = _bell_protocol(bell, gts, cutoff)
+        stages = list(_bell_protocol(bell, epsilons, cutoff))  # one or more blocks
+        joint = np.concatenate([joint for _, joint, _ in stages])
+        probs = np.concatenate([probs for *_, probs in stages])
         for amplitudes in (joint, _probe_pulses(joint, _jc_stack(gts, cutoff))):
             assert not np.any(amplitudes[..., 2:, :]) and not np.any(amplitudes[..., 2:])
         generated = generate_entangled_gbs(InitialAtomPair(eta), p1, t1, p2, t2, n_max=cutoff)
