@@ -266,13 +266,18 @@ def _probe_pulses(joint: np.ndarray, pulses: np.ndarray) -> np.ndarray:
 
     ``joint`` holds (batch, atom1, atom2, field1, field2) amplitudes
     straight from the generation stage. Fresh ground-state probes cross the
-    cavities with the pulse unitaries ``pulses`` (one per row).
+    cavities with the pulse unitaries ``pulses`` (one per row). A probe
+    enters in |down>, so each pulse acts through its |down> input columns
+    alone, one matmul sum over the field level as in _apply; the |up>
+    columns would only add exact zero terms to every sum.
     """
-    d = joint.shape[-1]
-    full = np.zeros((len(joint), 2, 2, 2, 2, d, d), dtype=complex)
-    full[:, :, :, ATOM_DOWN, ATOM_DOWN] = joint
-    full = _apply(full, pulses, (2, 4))
-    return _apply(full, pulses, (3, 5))
+    rows, d = len(joint), joint.shape[-1]
+    fresh = pulses[:, :, :, ATOM_DOWN].reshape(rows, 2 * d, d)
+    # (row, field1, atom1 atom2 field2) -> (row, probe1 field1, atom1 atom2 field2)
+    state = fresh @ joint.transpose(0, 3, 1, 2, 4).reshape(rows, d, -1)
+    # (row, field2, probe1 field1 atom1 atom2) -> (row, probe2 field2, probe1 field1 atom1 atom2)
+    state = fresh @ state.reshape(rows, -1, d).transpose(0, 2, 1).reshape(rows, d, -1)
+    return state.reshape(rows, 2, d, 2, d, 2, 2).transpose(0, 5, 6, 3, 1, 4, 2)
 
 
 def _readout(p: float, settings) -> list:
@@ -375,11 +380,15 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
     multinomial draw of cfg.shots over these 16 cells, in C order of
     (q_a, q_b, d_a, d_b) (cell 8 q_a + 4 q_b + 2 d_a + d_b), with
     probabilities P(q_a, q_b) a(d_a) a(d_b), a(1) = alpha and
-    a(0) = 1 - alpha, from the stream substream(seed -> s). Results are
-    reproducible, independent of evaluation order, and take time and
-    memory independent of cfg.shots. Runs at different alpha share no
-    draws, so their results are not nested. A run at p != 1/2 carries the
-    note "p".
+    a(0) = 1 - alpha, from the stream RandomStream(seed).substream(s - 1).
+    That stream is the standard library's Mersenne Twister seeded with
+    (salt << 64) | seed, and the draw is a chain of conditional binomial
+    draws, cell by cell in that order (see RandomStream.multinomial); the
+    package's own sampler, so no Python version draws differently.
+    Results are reproducible, independent of evaluation order, and take
+    time and memory independent of cfg.shots. Runs at different alpha
+    share no draws, so their results are not nested. A run at p != 1/2
+    carries the note "p".
     """
     bell_cfg = cfg.bell
     notes = ()

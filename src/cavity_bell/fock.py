@@ -1,7 +1,7 @@
 """Truncated Fock-space kernel for two-cavity field simulations.
 
 Small dense complex linear algebra: single-mode state vectors, joint states
-of two cavities, field operators, expectation values and a counter-based
+of two cavities, field operators, expectation values and a seeded
 random stream for reproducible Monte Carlo. All states and operators are
 immutable after construction (see ``Frozen``, whose subclasses refuse
 assignment and hold read-only arrays), so everything here behaves as a pure
@@ -9,6 +9,10 @@ function.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+import random
 
 import numpy as np
 
@@ -279,13 +283,79 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _binomial(draw, n: int, p: float) -> int:
+    """One binomial(n, p) variate made from the uniforms ``draw()`` in [0, 1).
+
+    A port of CPython 3.12's ``Random.binomialvariate``, which Python 3.10
+    and 3.11 lack. n * p < 10 takes Devroye's geometric method, O(n p)
+    draws; otherwise Hormann's BTRS (transformed rejection with squeeze,
+    1993) takes O(1) expected draws, so the cost does not grow with n.
+    BTRS is CPython's, draw for draw. The geometric method counts
+    geometric gaps log(1 - u) / log(1 - p), where CPython takes
+    log2(u) / log2(1 - p): a uniform may be 0.0, and log1p(-p) stays
+    nonzero for a p below 2**-53, where CPython returns 0.
+
+    Everything is float64, as numpy's sampler was. BTRS accepts the draws
+    its squeeze does not settle (about a fifth) by comparing differences
+    of lgamma values of size n ln n, whose spacing is 0.004 at n = 1e12,
+    0.5 at n = 1e14 and 65536 at n = 2**63. Above about 1e13 that test is
+    limited by rounding; the draw still lies in [0, n].
+    """
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if n == 1:
+        return int(draw() < p)
+    if p > 0.5:
+        return n - _binomial(draw, n, 1.0 - p)
+
+    if n * p < 10.0:
+        x = y = 0
+        c = math.log1p(-p)
+        while True:
+            y += math.floor(math.log1p(-draw()) / c) + 1
+            if y > n:
+                return x
+            x += 1
+
+    spq = math.sqrt(n * p * (1.0 - p))  # standard deviation
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    setup_complete = False
+    while True:
+        u = draw() - 0.5
+        us = 0.5 - math.fabs(u)
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = draw()
+        if us >= 0.07 and v <= vr:  # the squeeze
+            return k
+        if not setup_complete:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / (1.0 - p))
+            m = math.floor((n + 1) * p)  # the mode
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+            setup_complete = True
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
 class RandomStream:
     """Reproducible random stream keyed by (seed, substream lineage).
 
-    Counter-based Philox underneath: the draw sequence depends only on the
-    seed and the chain of substream indices, never on what other streams
-    have consumed, so Monte Carlo work can be split across shots or settings
-    in any order and still produce identical numbers.
+    The standard library's Mersenne Twister (``random.Random``) underneath,
+    seeded with the 128-bit integer (salt << 64) | seed, where the salt
+    encodes the chain of substream indices. So the draw sequence depends
+    only on the seed and that chain, never on what other streams have
+    consumed, and Monte Carlo work can be split across shots or settings in
+    any order and still produce identical numbers. Integer seeding and
+    ``random()`` are the same on every Python the package supports, and so
+    is the binomial sampler (``_binomial``), which is the package's own.
     """
 
     __slots__ = ("seed", "_salt", "_gen")
@@ -293,25 +363,37 @@ class RandomStream:
     def __init__(self, seed: int, _salt: int = 0):
         self.seed = int(seed) & _MASK64
         self._salt = int(_salt) & _MASK64
-        key = np.array([self.seed, self._salt], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = random.Random((self._salt << 64) | self.seed)
 
     def uniform(self) -> float:
         """Next uniform draw in [0, 1)."""
-        return float(self._gen.random())
+        return self._gen.random()
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Next ``count`` uniform draws as a vector."""
-        return self._gen.random(int(count))
+        """Next ``count`` uniform draws as a vector: ``count`` calls of uniform()."""
+        draw = self._gen.random
+        return np.array([draw() for _ in range(int(count))], dtype=float)
 
     def multinomial(self, count: int, probabilities) -> np.ndarray:
         """Counts of ``count`` independent draws over the given cells.
 
-        One multinomial draw: its cost does not depend on ``count``, which
-        must fit in int64. ``probabilities`` must be non-negative and sum
-        to 1.
+        Cell i takes a binomial draw (see _binomial) of the draws left, with
+        probability q_i / (q_i + ... + q_last) clipped to [0, 1]. So a cell
+        of probability 0 counts 0, the last nonzero cell takes every draw
+        left, and the counts sum to ``count`` exactly. The cost does not
+        depend on ``count``, which must fit in int64. ``probabilities``
+        must be non-negative and sum to 1.
         """
-        return self._gen.multinomial(int(count), probabilities)
+        cells = [float(q) for q in probabilities]
+        tails = list(itertools.accumulate(reversed(cells)))[::-1]
+        left = int(count)
+        counts = []
+        for q, tail in zip(cells, tails):
+            share = min(max(q / tail, 0.0), 1.0) if tail > 0.0 else 0.0
+            drawn = _binomial(self._gen.random, left, share)
+            counts.append(drawn)
+            left -= drawn
+        return np.array(counts, dtype=np.int64)
 
     def substream(self, index: int) -> "RandomStream":
         """Independent stream for branch ``index`` of this stream."""

@@ -383,6 +383,16 @@ def test_commands_load_no_dataclasses(tmp_path):
         assert "cavity_bell.dynamics" in modules and "dataclasses" not in modules, argv
 
 
+def test_simulate_loads_no_numpy_random(tmp_path):
+    # the counts come from the standard library's generator; numpy.random
+    # would also pull in secrets, hmac and OpenSSL's _hashlib
+    argv = ["simulate", "maximal", "--alpha", "0.9", "--shots", "2000000", "--out", "sim.txt"]
+    code, modules = loaded_modules(tmp_path, *argv)
+    assert code == 0
+    assert "cavity_bell.dynamics" in modules
+    assert not modules & {"numpy.random", "secrets", "hmac", "_hashlib"}
+
+
 def test_memory_error_is_reported(tmp_path, monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 385. GiB")
@@ -522,3 +532,22 @@ def test_sensitivity_memory_grows_by_its_three_columns(tmp_path):
     small = traced_peak(argv + ["--epsilons=-0.4:0.4:8e-5"], out)
     large = traced_peak(argv + ["--epsilons=-0.4:0.4:4e-5"], out)
     assert large - small <= 24 * 10000 + 2**15, (small, large)
+
+
+@pytest.mark.parametrize(
+    "argv, small, large, columns",
+    [
+        (["pscan", "maximal"], ["--step", "1e-4"], ["--step", "5e-5"], 2),  # p and s_b
+        (["scan", "maximal"], ["--grid", "0:1:1e-4"], ["--grid", "0:1:5e-5"], 3),
+    ],
+    ids=["pscan", "scan"],
+)
+def test_grid_memory_grows_by_its_columns(tmp_path, argv, small, large, columns):
+    # From 10001 to 20001 rows the peak grows by one 8-byte vector per CSV
+    # column; the untraced warm-up fills the free lists, as for sensitivity.
+    out = tmp_path / "out.csv"
+    assert main(argv + large + ["--out", str(out)]) == 0
+    small_peak = traced_peak(argv + small, out)
+    large_peak = traced_peak(argv + large, out)
+    assert len(read(out).splitlines()) - 1 == 20001
+    assert large_peak - small_peak <= 8 * columns * 10000 + 2**15, (small_peak, large_peak)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import statistics
 import time
 import tracemalloc
 
@@ -270,6 +271,35 @@ def test_experiment_cost_is_independent_of_shots():
     assert peak < 2**20
     assert est.discarded_shots == 4 * 10**12 - sum(s.retained for s in est.settings)
     assert abs(est.s_b_hat - 2 * math.sqrt(2)) <= 5 * est.std_error
+
+
+# Seeds of the error-bar ensemble, picked once. Never re-pick them to make
+# the test pass: a failure here is a miscalibrated error bar.
+ENSEMBLE_SEEDS = range(5000, 6000)
+
+
+@pytest.mark.parametrize(
+    "preset, eta, alpha, shots",
+    [("maximal", 1.0, 1.0, 1000), ("maximal", 0.5, 0.7, 400), ("wide", 1.0, 0.9, 200)],
+    ids=["maximal-lossless", "maximal-lossy", "wide-few-shots"],
+)
+def test_error_bars_are_calibrated(preset, eta, alpha, shots):
+    # z = (s_b_hat - S_B) / std_error over a fixed ensemble of seeds. If the
+    # reported +- is one standard deviation, z has mean 0 and spread 1, and
+    # |z| <= 2 in 95.45% of runs. Each band is 4 standard errors of its
+    # statistic over N normal draws, set by N alone.
+    bell = preset_config(preset, eta)
+    target = bell_function(bell)
+    z = []
+    for seed in ENSEMBLE_SEEDS:
+        est = run_bell_experiment(ExperimentConfig(bell, shots, seed, alpha))
+        z.append((est.s_b_hat - target) / est.std_error)
+    n = len(z)
+    assert abs(statistics.fmean(z)) <= 4 / math.sqrt(n)
+    assert abs(statistics.stdev(z) - 1.0) <= 4 / math.sqrt(2 * (n - 1))
+    inside = 2 * statistics.NormalDist().cdf(2.0) - 1
+    share = sum(abs(value) <= 2.0 for value in z) / n
+    assert abs(share - inside) <= 4 * math.sqrt(inside * (1 - inside) / n)
 
 
 def test_experiment_warns_away_from_half():

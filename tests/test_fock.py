@@ -1,11 +1,13 @@
 """Kernel checks: states, operators, seeded streams."""
 
+import itertools
 import math
-import warnings
+import random
 
 import numpy as np
 import pytest
 
+from cavity_bell import fock
 from cavity_bell.bell import BellConfig, preset_config
 from cavity_bell.binomial import GbsParams, wrap_angle
 from cavity_bell.dynamics import DetectionReport, ExperimentConfig, InitialAtomPair
@@ -186,17 +188,17 @@ def test_random_stream_reproducible():
 
 
 def test_random_stream_keys_keep_all_64_bits():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # NumPy warns when it casts a large key through float64
-        a = RandomStream(2**64 - 1).uniforms(8)
-        b = RandomStream(2**64 - 2).uniforms(8)
-        assert not np.array_equal(a, b)
-        assert RandomStream(-1).seed == 2**64 - 1
-        assert np.array_equal(RandomStream(-1).uniforms(8), a)
-        sub = RandomStream(7).substream(1)
+    a = RandomStream(2**64 - 1).uniforms(8)
+    b = RandomStream(2**64 - 2).uniforms(8)
+    assert not np.array_equal(a, b)
+    assert RandomStream(-1).seed == 2**64 - 1
+    assert np.array_equal(RandomStream(-1).uniforms(8), a)
+    sub = RandomStream(7).substream(1)
     assert sub._salt == 0xCD73FE3DE975AC26  # at or above 2^63
-    key = sub._gen.bit_generator.state["state"]["key"]
-    assert [int(k) for k in key] == [7, sub._salt]
+    # the generator is seeded with the whole 128-bit key (salt << 64) | seed
+    assert sub._gen.getstate() == random.Random((sub._salt << 64) | 7).getstate()
+    flipped = RandomStream(7, _salt=sub._salt ^ 2**63)
+    assert not np.array_equal(flipped.uniforms(8), RandomStream(7).substream(1).uniforms(8))
 
 
 def test_random_stream_multinomial():
@@ -207,6 +209,103 @@ def test_random_stream_multinomial():
     assert a.sum() == 10**6 and a[1] == 0
     # the cost does not depend on the count, up to the int64 limit
     assert RandomStream(21).multinomial(2**63 - 1, cells).sum() == 2**63 - 1
+    for count in (0, 1, 10**6, 2**63 - 1):
+        zero_last = RandomStream(23).multinomial(count, [0.25, 0.0, 0.75, 0.0])
+        assert zero_last.sum() == count and zero_last[1] == zero_last[3] == 0, count
+
+
+def test_multinomial_draws_conditional_binomials(monkeypatch):
+    # cell i draws from what is left with q_i / (q_i + ... + q_last), and a
+    # cell with nothing after it but zeros takes all that is left
+    calls = []
+
+    def mean(draw, n, p):
+        calls.append((n, p))
+        return round(n * p)
+
+    monkeypatch.setattr(fock, "_binomial", mean)
+    counts = RandomStream(1).multinomial(1000, [0.5, 0.0, 0.25, 0.25, 0.0])
+    assert calls == [(1000, 0.5), (500, 0.0), (500, 0.5), (250, 1.0), (0, 0.0)]
+    assert counts.tolist() == [500, 0, 250, 250, 0]
+
+
+def chi_square_bound(dof: int, z: float = 5.0) -> float:
+    """Upper z-sigma quantile of chi-square with ``dof`` degrees (Wilson-Hilferty)."""
+    t = 2.0 / (9.0 * dof)
+    return dof * (1.0 - t + z * math.sqrt(t)) ** 3
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(30, 0.2, 101), (200, 0.3, 102), (200, 0.8, 103), (30, 0.9, 104), (10**6, 0.4, 105)],
+    ids=["geometric", "btrs", "btrs-reflected", "geometric-reflected", "btrs-large"],
+)
+def test_binomial_matches_its_pmf(n, p, seed):
+    # n p < 10 takes the geometric method, larger n p takes BTRS, and p > 1/2
+    # reflects to 1 - p first; 20000 draws against the exact pmf, with the
+    # cells of expectation below 5 merged into their neighbours. The seeds
+    # were picked once; never re-pick them to make the test pass.
+    draws = 20000
+    draw = random.Random(seed).random
+    observed = {}
+    for _ in range(draws):
+        k = fock._binomial(draw, n, p)
+        assert 0 <= k <= n
+        observed[k] = observed.get(k, 0) + 1
+    mean = n * p
+    spread = 8 * math.sqrt(n * p * (1 - p))
+    support = range(max(0, math.floor(mean - spread)), min(n, math.ceil(mean + spread)) + 1)
+    assert set(observed) <= set(support)  # nothing 8 sigma out
+    log_q = math.log(p), math.log1p(-p)
+    cells = []  # (expected, observed), merged until the expectation reaches 5
+    expected = seen = 0.0
+    for k in support:
+        log_pmf = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        expected += draws * math.exp(log_pmf + k * log_q[0] + (n - k) * log_q[1])
+        seen += observed.get(k, 0)
+        if expected >= 5.0:
+            cells.append((expected, seen))
+            expected = seen = 0.0
+    last_expected, last_seen = cells.pop()
+    cells.append((last_expected + expected, last_seen + seen))
+    statistic = sum((o - e) ** 2 / e for e, o in cells)
+    assert len(cells) >= 8
+    assert statistic <= chi_square_bound(len(cells) - 1), (statistic, len(cells))
+
+
+def test_binomial_edges_draw_nothing():
+    def never():
+        raise AssertionError("drew a uniform")
+
+    assert fock._binomial(never, 0, 0.3) == 0
+    assert fock._binomial(never, 10**6, 0.0) == 0
+    assert fock._binomial(never, 10**6, 1.0) == 10**6
+    assert fock._binomial(never, 2**63 - 1, 1.0) == 2**63 - 1
+    # one trial is one comparison with one uniform
+    assert fock._binomial(iter([0.2999]).__next__, 1, 0.3) == 1
+    assert fock._binomial(iter([0.3]).__next__, 1, 0.3) == 0
+    assert fock._binomial(iter([0.5]).__next__, 1, 0.7) == 1
+
+
+def test_binomial_geometric_branch_takes_a_zero_uniform():
+    # random() can return 0.0; each 0.0 is the shortest gap, one trial
+    zeros = itertools.repeat(0.0).__next__
+    assert fock._binomial(zeros, 5, 0.1) == 5
+    assert fock._binomial(zeros, 5, 0.9) == 0  # reflected: 5 - 5
+    # a p below 2**-53 still has a nonzero gap scale
+    assert fock._binomial(zeros, 8, 1e-17) == 8
+
+
+def test_binomial_btrs_is_cpython_312_draw_for_draw():
+    # Random(seed).binomialvariate(n, p), four calls each, on CPython 3.12.1
+    recorded = {
+        (20, 1000, 0.3): [323, 289, 303, 278],
+        (21, 2_000_000, 0.81): [1620612, 1619785, 1620490, 1619456],
+        (22, 10**12, 0.0123): [12300279429, 12299888249, 12300048234, 12300157413],
+    }
+    for (seed, n, p), values in recorded.items():
+        draw = random.Random(seed).random
+        assert [fock._binomial(draw, n, p) for _ in values] == values
 
 
 def test_substreams_are_independent_of_consumption():
