@@ -30,8 +30,7 @@ _EXPORTS = {
     "dynamics": (
         "ALPHA_THRESHOLD", "BellEstimate", "DetectionReport", "ExperimentConfig",
         "GenerationResult", "InitialAtomPair", "detection_threshold_check",
-        "generate_entangled_gbs", "probe_measure", "run_bell_experiment", "sensitivity_records",
-        "timing_sensitivity",
+        "generate_entangled_gbs", "probe_measure", "run_bell_experiment", "timing_sensitivity",
     ),
     "fields": (
         "EntangledGbsParams", "FieldStats", "entangled_gbs_state", "field_correlation",

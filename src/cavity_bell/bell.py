@@ -397,8 +397,17 @@ def preset_config(kind: str, eta: float, p: float = 0.5, theta: float = 0.0) -> 
     )
 
 
-def p_grid(step: float) -> np.ndarray:
-    """The grid 0, step, ..., 1 over p; the step must divide the unit interval."""
+def grid_blocks(start: float, step: float, count: int, last=None):
+    """Points start + i * step, i < count, per blocks(count, 1); ``last`` ends them, if given."""
+    for block in blocks(count, 1):
+        points = np.arange(block.start, min(block.stop, count), dtype=float) * step + start
+        if last is not None and block.stop >= count:
+            points[-1] = last
+        yield points
+
+
+def p_grid(step: float):
+    """The blocks of np.linspace's grid 0, step, ..., 1; the step must divide [0, 1]."""
     if not step > 0.0:
         raise ValueError("step must be positive")
     if not 1.0 / step + 1.0 <= MAX_GRID_POINTS:
@@ -406,24 +415,39 @@ def p_grid(step: float) -> np.ndarray:
     count = round(1.0 / step)
     if not abs(count * step - 1.0) <= 1e-9:  # also refuses an infinite step
         raise ValueError(f"step {step!r} does not divide [0, 1]")
-    return np.linspace(0.0, 1.0, count + 1)
+    return grid_blocks(0.0, 1.0 / count, count + 1, last=1.0)
 
 
-def p_argmax(ps, values) -> float:
-    """The p of the largest S_B on a grid.
+class PArgmax:
+    """The p of the largest S_B on a grid, taken one block at a time.
 
     Ties within 1e-12 of the maximum are broken towards p = 0.5; the scan is
     symmetric about that point, so this picks the physically distinguished
-    optimum.
+    optimum. ``add`` keeps a block's points within 1e-12 of the running
+    maximum, prunes the kept ones when it rises and returns the block's
+    values; at the end the kept points are those of the whole grid.
     """
-    values = np.asarray(values)
-    candidates = np.asarray(ps)[values >= np.max(values) - 1e-12]
-    return min(map(float, candidates), key=lambda p: (abs(p - 0.5), p))
+
+    top, kept = -math.inf, ()  # the running maximum, and (p, s_b) within 1e-12 of it
+
+    def add(self, ps, values):
+        self.top = max(self.top, float(np.max(values)))
+        floor = self.top - 1e-12
+        keep = values >= floor
+        self.kept = [(p, s_b) for p, s_b in self.kept if s_b >= floor]
+        self.kept += zip(ps[keep].tolist(), values[keep].tolist())
+        return values
+
+    @property
+    def p(self) -> float:
+        return min((p for p, _ in self.kept), key=lambda p: (abs(p - 0.5), p))
 
 
 def optimal_p_scan(
     theta: float, eta: float, angles: tuple[float, float, float, float], step: float = 0.005
 ) -> float:
     """Grid-scan p in [0, 1] for the maximum of S_B."""
-    ps = p_grid(step)
-    return p_argmax(ps, bell_function_vs_p(theta, eta, angles, ps))
+    best = PArgmax()
+    for ps in p_grid(step):
+        best.add(ps, bell_function_vs_p(theta, eta, angles, ps))
+    return best.p

@@ -12,10 +12,13 @@ Subcommands produce the data files behind the usual plots and reports:
 Every command writes its output file plus a flat key-value manifest at
 <out>.manifest recording the command and resolved parameters, plus the seed
 for simulate, the one command that draws random numbers, so a run can be
-reproduced byte-identically. Angles accept plain radians or
-multiples of pi such as "0.25pi". CSV output uses '.' decimals, twelve
-significant digits, LF line endings and a header row. Negative values of
-option arguments need the = form, e.g. --theta2=-0.3pi.
+reproduced byte-identically. Each file is written to a temporary file beside
+it that replaces it only when complete, so a failed run leaves no file and
+an older one as it was. The CSV commands make, compute and write their grid
+one block of points at a time, so memory does not grow with the grid.
+Angles accept plain radians or multiples of pi such as "0.25pi". CSV output
+uses '.' decimals, twelve significant digits, LF line endings and a header
+row. Negative option values need the = form, e.g. --theta2=-0.3pi.
 
 This module imports only the standard library and ``constants``, so
 ``--help``, ``<command> --help`` and usage errors never load numpy or the
@@ -27,7 +30,9 @@ from their defining modules.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 from . import __version__
@@ -68,46 +73,19 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
     return start, step, int(math.floor((stop - start) / step + 1e-9)) + 1
 
 
-def _fill_grid(out, start: float, step: float):
-    """Write start + i * step into out[i], one block of points at a time; return out."""
-    import numpy as np
-
-    from .bell import blocks
-
-    for block in blocks(len(out), 1):
-        points = out[block]
-        points[...] = np.arange(block.start, block.start + len(points), dtype=float)
-        points *= step
-        points += start
-    return out
-
-
-def parse_grid(text: str):
-    """Parse "start:stop:step" into the float64 vector of inclusive grid points."""
-    import numpy as np
-
-    start, step, count = _grid_spec(text)
-    return _fill_grid(np.empty(count), start, step)
-
-
 def parse_value_list(text: str):
-    """Parse a grid spec or a comma list of floats, without storing the values.
+    """Parse a grid spec or a comma list of floats into blocks of values.
 
-    Returns (count, fill): fill(out) writes the values into ``out``, a
-    float64 vector of length count, which may be one field of a record
-    array. So the caller holds the values once, where it keeps them.
+    A grid yields its inclusive points per block of bell.grid_blocks.
     """
     if ":" in text:
-        start, step, count = _grid_spec(text)
-        return count, lambda out: _fill_grid(out, start, step)
+        from .bell import grid_blocks
+
+        return grid_blocks(*_grid_spec(text))
     values = [float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"no values in {text!r}")
-
-    def fill(out):
-        out[...] = values
-
-    return len(values), fill
+    return [values]  # one block: the list is no longer than its text
 
 
 def fmt(value: float) -> str:
@@ -123,32 +101,49 @@ def _format_param(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: str, columns) -> None:
-    """Write equal-length columns as CSV rows with the precision of ``fmt``.
+@contextlib.contextmanager
+def _output(path: str):
+    """Write through a temporary file beside path, moved onto path on success, else removed."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    handle = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
 
-    Rows are formatted a block at a time, with one ``%`` per block, so the
-    text in memory does not grow with the table. A cell in flight takes
-    about 75 bytes (two array slots, a float, a list and a tuple slot and
-    its text); it counts as eight 16-byte amplitudes in bell.blocks, so a
-    block of text takes at most about half of a kernel block.
+
+def _write_csv(path: str, header: str, chunks) -> int:
+    """Write CSV rows with the precision of ``fmt``; return the number of rows.
+
+    ``chunks`` yields a tuple of equal-length columns per block of the grid,
+    so no column is held whole; rows are formatted with one ``%`` per block
+    of text. A cell in flight takes about 75 bytes (two array slots, a float,
+    a list and a tuple slot and its text); it counts as eight 16-byte
+    amplitudes in bell.blocks, so a block of text is at most about half of a
+    kernel block.
     """
     import numpy as np
 
     from .bell import blocks
 
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    row = ",".join(["%.12g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    row = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
+    rows = 0
+    with _output(path) as handle:
         handle.write(header + "\n")
-        for block in blocks(len(columns[0]), 8 * len(columns)):
-            chunk = np.column_stack([column[block] for column in columns]) + 0.0  # as in fmt
-            handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for columns in chunks:
+            rows += len(columns[0])
+            for block in blocks(len(columns[0]), 8 * len(columns)):
+                cells = np.column_stack([column[block] for column in columns]) + 0.0  # as in fmt
+                handle.write((row * len(cells)) % tuple(cells.ravel().tolist()))
+    return rows
 
 
 def _write_keyvalue(path: str, items) -> None:
-    lines = [f"{key} = {_format_param(value)}\n" for key, value in items]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(lines)
+    with _output(path) as handle:
+        handle.writelines(f"{key} = {_format_param(value)}\n" for key, value in items)
 
 
 #: Parsed options that are not ``param.*`` manifest lines: the subcommand and
@@ -199,42 +194,33 @@ def _bell_config(args):
 def cmd_scan(args) -> int:
     import numpy as np
 
-    from .bell import (
-        analytic_s_b,
-        angle_preset,
-        bell_function_operator_vs_p,
-        blocks,
-        eta_for_degree,
-    )
+    from .bell import (analytic_s_b, angle_preset, bell_function_operator_vs_p, eta_for_degree,
+                       grid_blocks)
 
-    degrees = parse_grid(args.grid)
-    count = len(degrees)
-    if degrees[0] < -1e-9 or degrees[-1] > 1.0 + 1e-9:
+    start, step, count = _grid_spec(args.grid)
+    if start < -1e-9 or (count - 1) * step + start > 1.0 + 1e-9:  # the first and last points
         raise ValueError("G grid must lie within [0, 1]")
-    np.clip(degrees, 0.0, 1.0, out=degrees)
     angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
-    analytic, s_b_operator = np.empty(count), np.empty(count)
-    for block in blocks(count, 1):
-        eta = eta_for_degree(degrees[block])
-        s_b_operator[block] = bell_function_operator_vs_p(args.theta, eta, angles, 0.5)
-        analytic[block] = analytic_s_b(args.preset, degrees[block])
-    _write_csv(args.out, "G,s_b_analytic,s_b_operator", (degrees, analytic, s_b_operator))
+    grid = (np.clip(g, 0.0, 1.0, out=g) for g in grid_blocks(start, step, count))
+    chunks = ((g, analytic_s_b(args.preset, g),
+               bell_function_operator_vs_p(args.theta, eta_for_degree(g), angles, 0.5)) for g in grid)
+    rows = _write_csv(args.out, "G,s_b_analytic,s_b_operator", chunks)
     write_manifest(args)
-    print(f"wrote {args.out} ({count} rows)")
+    print(f"wrote {args.out} ({rows} rows)")
     return 0
 
 
 def cmd_pscan(args) -> int:
-    from .bell import angle_preset, bell_function_vs_p, p_argmax, p_grid
+    from .bell import PArgmax, angle_preset, bell_function_vs_p, p_grid
 
     angles = angle_preset(args.preset, args.theta, eta_sign=1.0 if args.eta >= 0 else -1.0)
-    ps = p_grid(args.step)
-    values = bell_function_vs_p(args.theta, args.eta, angles, ps)
-    p_star = p_argmax(ps, values)
-    _write_csv(args.out, "p,s_b", (ps, values))
-    write_manifest(args, {"p_star": p_star})
-    print(f"p_star = {fmt(p_star)}")
-    print(f"wrote {args.out} ({len(ps)} rows)")
+    best = PArgmax()
+    chunks = ((ps, best.add(ps, bell_function_vs_p(args.theta, args.eta, angles, ps)))
+              for ps in p_grid(args.step))  # p_grid checks the step here, before any block
+    rows = _write_csv(args.out, "p,s_b", chunks)
+    write_manifest(args, {"p_star": best.p})
+    print(f"p_star = {fmt(best.p)}")
+    print(f"wrote {args.out} ({rows} rows)")
     return 0
 
 
@@ -335,17 +321,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    from .dynamics import ExperimentConfig, sensitivity_records, timing_sensitivity
+    from .dynamics import ExperimentConfig, timing_sensitivity
 
-    count, fill = parse_value_list(args.epsilons)
-    rows = sensitivity_records(count)
-    fill(rows.epsilon)  # the errors are parsed into the records, so held once
+    errors = parse_value_list(args.epsilons)
     # The sweep draws no random numbers; shots and seed only fill the config.
     experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0)
-    rows = timing_sensitivity(experiment, rows)
-    _write_csv(args.out, "epsilon,fidelity,s_b", (rows.epsilon, rows.fidelity, rows.s_b))
+    sweep = (timing_sensitivity(experiment, block) for block in errors)
+    rows = _write_csv(args.out, "epsilon,fidelity,s_b",
+                      ((block.epsilon, block.fidelity, block.s_b) for block in sweep))
     write_manifest(args)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({rows} rows)")
     return 0
 
 

@@ -480,18 +480,11 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> np.recarray:
     epsilon -> -epsilon. Each block of errors (see bell.blocks) runs through
     generation and probing as one batch (see _bell_protocol). Returns one
     record per error, with the fields epsilon, fidelity and s_b, which are
-    also the three columns.
-
-    relative_errors is a sequence of errors, or a record array from
-    sensitivity_records whose epsilon field holds them. That array is then
-    filled in place and returned, so the errors are never held twice.
+    also the three columns of the sensitivity CSV.
     """
-    if isinstance(relative_errors, np.recarray):
-        rows = relative_errors
-    else:
-        epsilons = np.asarray(relative_errors, dtype=float)
-        rows = sensitivity_records(epsilons.size)
-        rows.epsilon = epsilons
+    epsilons = np.asarray(relative_errors, dtype=float)
+    rows = np.recarray(epsilons.size, [("epsilon", float), ("fidelity", float), ("s_b", float)])
+    rows.epsilon = epsilons
     # field views taken once: each recarray attribute lookup builds a new view
     epsilons, fidelity, s_b = rows.epsilon, rows.fidelity, rows.s_b
     # min and max allocate nothing per row, and a NaN fails both comparisons
@@ -513,7 +506,3 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> np.recarray:
         s_b[part] = chsh(*_correlation_from_probs(probs).T)
     return rows
 
-
-def sensitivity_records(count: int) -> np.recarray:
-    """An unfilled record array of ``count`` timing_sensitivity rows."""
-    return np.recarray(count, [("epsilon", float), ("fidelity", float), ("s_b", float)])

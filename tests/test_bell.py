@@ -11,6 +11,7 @@ import pytest
 from cavity_bell.bell import (
     BellConfig,
     DichotomicParams,
+    PArgmax,
     analytic_s_b,
     angle_preset,
     bell_correlation,
@@ -25,6 +26,7 @@ from cavity_bell.bell import (
     dichotomic_operator,
     eta_for_degree,
     optimal_p_scan,
+    p_grid,
     preset_config,
     violation_threshold,
 )
@@ -442,6 +444,70 @@ def test_p_scan_optimum_and_symmetry():
     grid = np.linspace(0.0, 1.0, 101)
     values = bell_function_vs_p(0.0, 0.8, angles, grid)
     assert np.max(np.abs(values - values[::-1])) < 1e-9
+
+
+def test_p_grid_blocks_are_linspace_bit_for_bit():
+    # at 49 and 5010 intervals, i * (1 / n) misses 1 at i = n, so linspace
+    # sets its last point; the grid must too
+    cases = ((0.5, 3), (0.005, 201), (2.5e-5, 40001), (1e-6, 1000001), (1 / 49, 50),
+             (1 / 5010, 5011))
+    for step, count in cases:
+        blocks = list(p_grid(step))
+        assert max(map(len, blocks)) <= 2**12, step
+        grid = np.concatenate(blocks)
+        assert grid.tobytes() == np.linspace(0.0, 1.0, count).tobytes(), step
+
+
+def whole_vector_argmax(ps, values):
+    """The p_argmax rule over the whole grid at once, as pscan took it before it streamed."""
+    values = np.asarray(values)
+    candidates = np.asarray(ps)[values >= np.max(values) - 1e-12]
+    return min(map(float, candidates), key=lambda p: (abs(p - 0.5), p))
+
+
+def running_argmax(ps, values, size):
+    best = PArgmax()
+    for start in range(0, len(ps), size):
+        block = values[start:start + size]
+        assert best.add(ps[start:start + size], block) is block  # passed on to the writer
+    return best.p
+
+
+@pytest.mark.parametrize(
+    "ps, values",
+    [
+        # ties within 1e-12 on either side of p = 1/2: the nearer point wins,
+        # then the smaller p
+        ([0.3, 0.45, 0.5 + 2**-40, 0.55, 0.7], [1.0, 2.0, 2.0 - 9e-13, 2.0 + 5e-13, 1.0]),
+        ([0.3, 0.5 - 2**-40, 0.5 + 2**-40, 0.7], [1.0, 2.0, 2.0 + 9e-13, 1.0]),
+        ([0.3, 0.45, 0.55, 0.7], [1.0, 2.0 + 9e-13, 2.0, 1.0]),
+        ([0.3, 0.45, 0.55, 0.7], [1.0, 2.0, 2.0 + 2e-12, 1.0]),
+        # a maximum that rises after points near 1/2 were kept
+        ([0.5, 0.49, 0.51, 0.2, 0.1, 0.9], [2.0, 2.0, 2.0 - 1e-13, 2.0 + 3e-12, 1.0, 2.0 + 2.5e-12]),
+        ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [1.0, 1.5, 1.5 + 1e-12, 1.5 + 2e-12, 1.5 + 3e-12, 1.5]),
+        # a run of equal values
+        (list(np.linspace(0.0, 1.0, 11)), [2.0] * 11),
+        ([0.0, 0.1, 0.2, 0.3], [2.0] * 4),
+    ],
+    ids=["tie-below", "tie-straddles", "tie-within", "tie-beyond", "rises", "creeps",
+         "flat", "flat-one-side"],
+)
+def test_running_argmax_is_the_whole_vector_rule(ps, values):
+    ps, values = np.asarray(ps, dtype=float), np.asarray(values, dtype=float)
+    want = whole_vector_argmax(ps, values)
+    for size in range(1, len(ps) + 1):
+        assert running_argmax(ps, values, size) == want, size
+
+
+def test_running_argmax_on_grids_with_near_ties():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        count = int(rng.integers(1, 60))
+        ps = np.sort(rng.choice(np.linspace(0.0, 1.0, 201), count, replace=False))
+        values = 2.0 + rng.integers(-3, 4, count) * 4e-13 + rng.integers(0, 2, count)
+        want = whole_vector_argmax(ps, values)
+        for size in (1, 2, 3, 7, count):
+            assert running_argmax(ps, values, size) == want
 
 
 def test_p_scan_step_validation():

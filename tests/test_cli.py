@@ -1,6 +1,7 @@
 """Command-line interface: parsing, file formats, manifests, exit codes."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from cavity_bell import cli
-from cavity_bell.cli import fmt, main, parse_angle, parse_grid, parse_value_list
+from cavity_bell.cli import fmt, main, parse_angle, parse_value_list
 from cavity_bell.fields import EntangledGbsParams
 
 
@@ -41,6 +42,11 @@ def test_parse_angle():
         parse_angle("abc")
 
 
+def parse_grid(text):
+    """The values of a grid spec or list as one vector, from its blocks."""
+    return np.concatenate([np.asarray(block, dtype=float) for block in parse_value_list(text)])
+
+
 def test_parse_grid():
     assert parse_grid("0:1:0.5").tolist() == [0.0, 0.5, 1.0]
     assert len(parse_grid("0:1:0.05")) == 21
@@ -54,18 +60,19 @@ def test_parse_grid():
     assert np.array_equal(parse_grid("-0.4:0.4:8e-5"), np.arange(10001.0) * 8e-5 + -0.4)
 
 
-def test_parse_value_list_fills_where_the_caller_keeps_the_values():
+def test_parse_value_list_yields_blocks_of_values():
+    from cavity_bell import bell
+
     for text, want in (
         ("-0.01,0,0.01", [-0.01, 0.0, 0.01]),
         ("-0.02:0.02:0.02", [-0.02, 0.0, 0.02]),
-        ("-0.4:0.4:8e-5", parse_grid("-0.4:0.4:8e-5").tolist()),
+        ("-0.4:0.4:8e-5", (np.arange(10001.0) * 8e-5 + -0.4).tolist()),
     ):
-        count, fill = parse_value_list(text)
-        rows = np.recarray(count, [("before", float), ("value", float), ("after", float)])
-        rows.before = rows.after = 7.0
-        fill(rows.value)
-        assert rows.value.tolist() == want, text
-        assert np.all(rows.before == 7.0) and np.all(rows.after == 7.0), text
+        assert parse_grid(text).tolist() == want, text
+    # a grid comes in blocks of bell.blocks(count, 1) points, a comma list whole
+    sizes = [len(block) for block in parse_value_list("-0.4:0.4:8e-5")]
+    assert sizes == [bell.BLOCK_AMPLITUDES] * 2 + [10001 - 2 * bell.BLOCK_AMPLITUDES]
+    assert [len(block) for block in parse_value_list("1,2,3,4")] == [4]
     with pytest.raises(ValueError, match="no values"):
         parse_value_list(" , ")
 
@@ -348,14 +355,18 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def loaded_modules(tmp_path, *argv):
-    """Exit code of a fresh ``cavity-bell argv`` process and the modules it loaded."""
+def child_env():
+    """The environment of a fresh interpreter that imports the package under test."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def loaded_modules(tmp_path, *argv):
+    """Exit code of a fresh ``cavity-bell argv`` process and the modules it loaded."""
     run = subprocess.run(
         [sys.executable, "-c", RUN_CLI, *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     code, modules = run.stdout.splitlines()[-2:]
     return int(code), set(modules.split())
@@ -551,3 +562,111 @@ def test_grid_memory_grows_by_its_columns(tmp_path, argv, small, large, columns)
     large_peak = traced_peak(argv + large, out)
     assert len(read(out).splitlines()) - 1 == 20001
     assert large_peak - small_peak <= 8 * columns * 10000 + 2**15, (small_peak, large_peak)
+
+
+# One grid command per kernel it calls once per block of the grid: the
+# module that defines the kernel, its name and a command line of a few blocks
+# at a block size of 16 amplitudes.
+STREAMED = {
+    "pscan": ("bell", "bell_function_vs_p", ["pscan", "maximal", "--step", "0.02"]),
+    "scan": ("bell", "bell_function_operator_vs_p", ["scan", "maximal", "--grid", "0:1:0.02"]),
+    "sensitivity": ("dynamics", "timing_sensitivity",
+                    ["sensitivity", "maximal", "--epsilons=-0.2:0.2:0.01"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STREAMED))
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_grid_run_leaves_no_file(tmp_path, monkeypatch, capsys, command, existing):
+    import importlib
+
+    from cavity_bell import bell
+
+    module_name, kernel_name, argv = STREAMED[command]
+    module = importlib.import_module(f"cavity_bell.{module_name}")
+    kernel = getattr(module, kernel_name)
+    calls = []
+
+    def second_block_fails(*args, **kwargs):
+        calls.append(sorted(path.name for path in tmp_path.iterdir()))
+        if len(calls) == 2:
+            raise RuntimeError("kernel failed")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(bell, "BLOCK_AMPLITUDES", 16)
+    monkeypatch.setattr(module, kernel_name, second_block_fails)
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_text("kept\n", encoding="utf-8")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: kernel failed\n"
+    assert len(calls) == 2
+    # the second block fails while the rows of the first stand in a temporary file
+    assert len(calls[1]) == 1 + existing and calls[1][-1].endswith(".tmp"), calls
+    assert [path.name for path in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+    if existing:
+        assert read(out) == "kept\n"
+
+
+# Prints the traced peak and the row count of one command run in a fresh
+# interpreter, after an untraced warm-up run (the first argument, a JSON
+# argv) has loaded the physics layer and filled Python's free lists.
+TRACED_RUN = """
+import json, sys, tracemalloc
+from cavity_bell.cli import main
+warm_up, argv, out = json.loads(sys.argv[1]), sys.argv[2:], "out.csv"
+assert main(warm_up + ["--out", out]) == 0
+tracemalloc.start()
+assert main(argv + ["--out", out]) == 0
+print(tracemalloc.get_traced_memory()[1])
+print(sum(1 for _ in open(out)) - 1)
+"""
+
+
+def fresh_traced_peaks(tmp_path, warm_up, runs):
+    """Traced peak and row count of each argv of ``runs``, each in a fresh interpreter.
+
+    The interpreters run side by side, each in a directory of its own.
+    """
+    env = child_env()
+    children = []
+    for index, argv in enumerate(runs):
+        cwd = tmp_path / str(index)
+        cwd.mkdir()
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", TRACED_RUN, json.dumps(warm_up), *argv],
+            cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    out = []
+    try:
+        for child in children:
+            stdout, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr
+            out.append(tuple(map(int, stdout.splitlines()[-2:])))
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, small, large",
+    [
+        (["pscan", "maximal"], ["--step", "1e-4"], ["--step", "2e-5"]),
+        (["scan", "maximal"], ["--grid", "0:1:1e-4"], ["--grid", "0:1:2e-5"]),
+        (["sensitivity", "maximal", "--eta", "0.7"], ["--epsilons=-0.4:0.4:8e-5"],
+         ["--epsilons=-0.4:0.4:1.6e-5"]),
+    ],
+    ids=["pscan", "scan", "sensitivity"],
+)
+def test_grid_memory_is_flat_in_the_grid_length(tmp_path, argv, small, large):
+    # The grid is made, computed and written a block at a time, so from
+    # 10001 to 50001 rows the traced peak stays where it was. Each run has a
+    # fresh interpreter, so no earlier test decides the verdict; both warm
+    # up on the large grid untraced, because a first run fills Python's free
+    # lists by up to about 0.1 MB (sensitivity) before they level off.
+    (small_peak, small_rows), (large_peak, large_rows) = fresh_traced_peaks(
+        tmp_path, argv + large, [argv + small, argv + large])
+    assert (small_rows, large_rows) == (10001, 50001)
+    assert large_peak - small_peak <= 2**15, (small_peak, large_peak)

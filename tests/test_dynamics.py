@@ -302,6 +302,68 @@ def test_error_bars_are_calibrated(preset, eta, alpha, shots):
     assert abs(share - inside) <= 4 * math.sqrt(inside * (1 - inside) / n)
 
 
+# The random-stream contract of simulate, pinned: the 16 cell counts of each
+# setting, in the cell order (q_a, q_b, d_a, d_b), for fixed runs of
+# (preset, eta, alpha, shots, seed). Between them the runs take both
+# branches of the binomial draw. A deliberate change of the stream updates
+# these counts and says so in CHANGES.md.
+PINNED_COUNTS = {
+    ("maximal", 1.0, 1.0, 10**4, 11): [
+        [0, 0, 0, 708, 0, 0, 0, 4330, 0, 0, 0, 4221, 0, 0, 0, 741],
+        [0, 0, 0, 4318, 0, 0, 0, 759, 0, 0, 0, 766, 0, 0, 0, 4157],
+        [0, 0, 0, 4277, 0, 0, 0, 730, 0, 0, 0, 731, 0, 0, 0, 4262],
+        [0, 0, 0, 4234, 0, 0, 0, 742, 0, 0, 0, 788, 0, 0, 0, 4236],
+    ],
+    ("maximal", 0.5, 0.7, 400, 12): [
+        [0, 1, 2, 4, 5, 8, 13, 35, 20, 48, 66, 145, 5, 13, 13, 22],
+        [8, 17, 18, 31, 3, 3, 2, 6, 7, 8, 10, 19, 28, 59, 53, 128],
+        [17, 27, 39, 115, 1, 1, 1, 0, 8, 16, 17, 50, 10, 23, 17, 58],
+        [5, 28, 19, 56, 6, 13, 21, 46, 0, 0, 0, 1, 16, 48, 47, 94],
+    ],
+    ("wide", 0.8, 0.95, 10**12, 13): [
+        [0, 0, 0, 0, 975624132, 18536458469, 18536639978, 352195450795,
+         1524353651, 28963407458, 28963263979, 550304801538, 0, 0, 0, 0],
+        [731736040, 13902372336, 13902418024, 264146216744, 243888843, 4634099282,
+         4634133231, 88049168988, 381069328, 7240899046, 7240738904, 137576508486,
+         1143257055, 21722618087, 21722610991, 412728264615],
+        [381105443, 7240805749, 7240876370, 137576321446, 731708812, 13902508672,
+         13902525788, 264146082601, 1143259011, 21722484979, 21722568762, 412728930584,
+         243927639, 4634142091, 4634165537, 88048586516],
+        [186750273, 3548091936, 3548009369, 67412629127, 926060837, 17595314939,
+         17595009543, 334309708567, 926092709, 17595342233, 17595102412, 334310876490,
+         461123068, 8761456952, 8761507012, 166466924533],
+    ],
+}
+
+
+def test_simulate_stream_is_pinned(monkeypatch):
+    from cavity_bell import fock
+
+    multinomial, binomial = RandomStream.multinomial, fock._binomial
+    counts, branches = [], set()
+
+    def recorded_multinomial(self, count, probabilities):
+        out = multinomial(self, count, probabilities)
+        counts.append(out.tolist())
+        return out
+
+    def recorded_binomial(draw, n, p):
+        if n > 1 and 0.0 < p < 1.0:  # the branch _binomial takes, after reflecting p > 1/2
+            branches.add("geometric" if n * min(p, 1.0 - p) < 10.0 else "btrs")
+        return binomial(draw, n, p)
+
+    monkeypatch.setattr(RandomStream, "multinomial", recorded_multinomial)
+    monkeypatch.setattr(fock, "_binomial", recorded_binomial)
+    for (preset, eta, alpha, shots, seed), want in PINNED_COUNTS.items():
+        counts.clear()
+        cfg = ExperimentConfig(bell=preset_config(preset, eta), shots=shots, seed=seed,
+                               detector_efficiency=alpha)
+        est = run_bell_experiment(cfg)
+        assert counts == want, (preset, eta, alpha, shots, seed)
+        assert [s.retained for s in est.settings] == [sum(c[3::4]) for c in want]
+    assert branches == {"geometric", "btrs"}
+
+
 def test_experiment_warns_away_from_half():
     # the warning is a note of the estimate, which simulate prints as note.p
     cfg = preset_config("maximal", 1.0, p=0.3)
