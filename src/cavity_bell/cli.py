@@ -105,7 +105,10 @@ def _format_param(value) -> str:
 def _output(path: str):
     """Write through a temporary file beside path, moved onto path on success, else removed."""
     temp = f"{path}.{os.getpid()}.tmp"
-    handle = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        handle = open(temp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:  # the temporary file's name is ours, not the user's
+        raise ValueError(f"out: cannot write {path}: {exc.strerror}") from None
     try:
         with handle:
             yield handle

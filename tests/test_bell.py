@@ -24,6 +24,7 @@ from cavity_bell.bell import (
     dichotomic_eigenstates,
     dichotomic_gbs_matrix,
     dichotomic_operator,
+    dichotomic_pair_expectation,
     eta_for_degree,
     optimal_p_scan,
     p_grid,
@@ -350,6 +351,37 @@ def test_scan_oracle_refuses_bad_eta(eta):
     for grid in (bell_function_operator_vs_p, bell_function_vs_p):
         with pytest.raises(ValueError, match=message):
             grid(0.0, [0.5, eta], angle_preset("maximal"), 0.5)
+
+
+@pytest.mark.parametrize("cutoff", (1, 2, 3, 4))
+def test_one_p_oracle_row_is_independent_of_stack_size(cutoff):
+    # one F pair for the whole stack, in row-stacked products: a matrix's
+    # correlation is the same to the bit in a stack of any size
+    rng = np.random.default_rng(40 + cutoff)
+    d = cutoff + 1
+    for size in (1, 2, 7, 455, 1000):
+        stack = rng.normal(size=(size, d, d)) + 1j * rng.normal(size=(size, d, d))
+        p, phi_a, phi_b = float(rng.uniform()), *rng.uniform(-math.pi, math.pi, 2)
+        values = dichotomic_pair_expectation(stack, p, phi_a, phi_b)
+        for i in range(size):
+            assert values[i] == dichotomic_pair_expectation(stack[i : i + 1], p, phi_a, phi_b)[0]
+
+
+def test_one_p_and_per_point_oracle_routes_agree():
+    # the same p as a float (one F pair) and repeated per point (one pair
+    # each) take different contractions; both stay at the closed form
+    rng = np.random.default_rng(41)
+    etas = np.linspace(-2.0, 2.0, 301)
+    for cutoff in (1, 2, 5, 20):
+        for _ in range(5):
+            p, theta = float(rng.uniform()), float(rng.uniform(-4.0, 4.0))
+            angles = tuple(rng.uniform(-math.pi, math.pi, 4))
+            one_p = bell_function_operator_vs_p(theta, etas, angles, p, cutoff)
+            per_point = bell_function_operator_vs_p(theta, etas, angles, np.full(len(etas), p), cutoff)
+            assert np.max(np.abs(one_p - per_point)) <= 1e-15
+            closed = bell_function_vs_p(theta, etas, angles, p)
+            assert np.max(np.abs(one_p - closed)) <= 1e-12
+            assert np.max(np.abs(per_point - closed)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ("maximal", "wide"))

@@ -608,6 +608,15 @@ def test_a_failed_grid_run_leaves_no_file(tmp_path, monkeypatch, capsys, command
         assert read(out) == "kept\n"
 
 
+@pytest.mark.parametrize("command", [["covariance"], ["scan", "maximal"]], ids=["report", "csv"])
+def test_an_out_in_a_missing_directory_is_one_error_line(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x"
+    assert main(command + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: out: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # Prints the traced peak and the row count of one command run in a fresh
 # interpreter, after an untraced warm-up run (the first argument, a JSON
 # argv) has loaded the physics layer and filled Python's free lists.
