@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -257,6 +258,7 @@ def cmd_simulate(args) -> int:
 
     if args.shots < 100:
         raise ValueError("shots must be at least 100")
+    report = detection_threshold_check(args.alpha)
     config = _bell_config(args)
     experiment = ExperimentConfig(
         bell=config,
@@ -266,7 +268,6 @@ def cmd_simulate(args) -> int:
     )
     estimate = run_bell_experiment(experiment)
     analytic = bell_function(config)
-    report = detection_threshold_check(args.alpha)
     items = _echo(args, BELL_RUN_OPTIONS + ("shots", "seed", "alpha")) + [
         ("alpha_threshold", report.alpha_threshold),
         ("alpha_above_threshold", report.violable),
@@ -422,5 +423,13 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

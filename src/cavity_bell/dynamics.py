@@ -233,7 +233,8 @@ class ExperimentConfig(Frozen):
         if not 0 <= int(self.seed) < 2**64:  # RandomStream keys on 64 bits
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if not 0.0 <= self.detector_efficiency <= 1.0:
-            raise ValueError("detector efficiency must lie in [0, 1]")
+            raise ValueError(
+                f"detector efficiency must lie in [0, 1], got {self.detector_efficiency!r}")
 
 
 class SettingEstimate(Frozen):
@@ -460,7 +461,7 @@ def detection_threshold_check(alpha: float) -> DetectionReport:
     hide a local model.
     """
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     return DetectionReport(
         alpha=alpha,
         alpha_threshold=ALPHA_THRESHOLD,

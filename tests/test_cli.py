@@ -1,5 +1,6 @@
 """Command-line interface: parsing, file formats, manifests, exit codes."""
 
+import gc
 import hashlib
 import json
 import math
@@ -303,6 +304,10 @@ def test_error_exit_codes(tmp_path, capsys):
         (["sensitivity", "maximal", "--epsilons", "nan"], "epsilons"),
         (["sensitivity", "maximal", "--epsilons", "0,0.5"], "epsilons"),
         (["sensitivity", "maximal", "--epsilons=-0.1:0.6:0.1"], "epsilons"),
+        # detector efficiencies outside [0, 1]
+        (["simulate", "maximal", "--alpha", "1.5"], "alpha"),
+        (["simulate", "maximal", "--alpha", "nan"], "alpha"),
+        (["simulate", "maximal", "--alpha=-0.1"], "alpha"),
     ]
     for argv, field in [(argv, "") for argv in failing] + named:
         assert main(argv + ["--out", str(out)]) == 1, argv
@@ -343,14 +348,14 @@ def test_state_options_follow_the_state_fields():
 PHYSICS = ("fock", "binomial", "fields", "bell", "dynamics")
 
 # Runs the command line as ``python -m cavity_bell.cli`` does, then prints
-# the exit code and the loaded modules.
+# the exit code, the number of frozen objects and the loaded modules.
 RUN_CLI = """
-import runpy, sys
+import gc, runpy, sys
 sys.argv = ["cavity-bell", *sys.argv[1:]]
 try:
     runpy.run_module("cavity_bell.cli", run_name="__main__")
 except SystemExit as exc:
-    print(exc.code)
+    print(exc.code, gc.get_freeze_count())
 print(" ".join(sorted(sys.modules)))
 """
 
@@ -362,14 +367,38 @@ def child_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def loaded_modules(tmp_path, *argv):
-    """Exit code of a fresh ``cavity-bell argv`` process and the modules it loaded."""
+def run_cli(tmp_path, *argv):
+    """Exit code of a fresh ``cavity-bell argv`` process, its frozen objects and its modules."""
     run = subprocess.run(
         [sys.executable, "-c", RUN_CLI, *argv],
         cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60, check=True,
     )
-    code, modules = run.stdout.splitlines()[-2:]
-    return int(code), set(modules.split())
+    exit_line, modules = run.stdout.splitlines()[-2:]
+    code, frozen = exit_line.split()
+    return int(code), int(frozen), set(modules.split())
+
+
+def loaded_modules(tmp_path, *argv):
+    """Exit code of a fresh ``cavity-bell argv`` process and the modules it loaded."""
+    code, _, modules = run_cli(tmp_path, *argv)
+    return code, modules
+
+
+def test_the_process_entry_freezes_the_heap(tmp_path):
+    # run() freezes what import made, so the shutdown collections skip it,
+    # also when main fails or argparse exits
+    for argv, code in ((["pscan", "maximal", "--out", "p.csv"], 0),
+                       (["pscan", "maximal", "--step", "0.3", "--out", "p.csv"], 1),
+                       (["scan", "maximal"], 2)):
+        got, frozen, _ = run_cli(tmp_path, *argv)
+        assert got == code and frozen > 10_000, (argv, got, frozen)
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # tests and the traced benchmark call main in their own process
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["pscan", "maximal", "--out", str(tmp_path / "p.csv")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 def test_parser_loads_no_physics(tmp_path):
