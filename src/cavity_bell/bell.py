@@ -24,14 +24,10 @@ import math
 
 import numpy as np
 
-from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle
+from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle, set_state_fields
 from .constants import MAX_GRID_POINTS, PRESETS
 from .fields import EntangledGbsParams, norm_const
 from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, braket
-
-# Violation thresholds on G: below these the preset cannot push S_B past 2.
-G_MIN_MAXIMAL = math.sqrt(2.0) - 1.0
-G_MIN_WIDE = 1.0 / 3.0
 
 #: Complex amplitudes per block of a batched evaluation (64 KiB). A block
 #: takes as many grid points as fit, and at least one, so the working arrays
@@ -78,16 +74,7 @@ class BellConfig(Frozen):
     phi2_prime: float
 
     def __post_init__(self):
-        for name in ("p", "theta", "eta", "phi1", "phi2", "phi1_prime", "phi2_prime"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if name == "eta" and not math.isfinite(value * value):
-                raise ValueError(f"eta must have a finite square, got {value!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        for name in ("theta", "phi1", "phi2", "phi1_prime", "phi2_prime"):
-            object.__setattr__(self, name, reduce_angle(getattr(self, name)))
+        set_state_fields(self, ("p",), ("theta", "phi1", "phi2", "phi1_prime", "phi2_prime"))
 
     @property
     def settings(self) -> tuple[tuple[float, float], ...]:
@@ -179,7 +166,7 @@ def dichotomic_eigenstates(
 
 def degree_of_entanglement(eta: float) -> float:
     """G = 2|eta| / (1 + eta^2), from 0 (product) to 1 (maximally entangled)."""
-    return 2.0 * abs(eta) / (1.0 + eta**2)
+    return 2.0 * abs(eta) / (1.0 + eta * eta)
 
 
 def _require_degree(g) -> None:
@@ -365,55 +352,56 @@ def bell_function_operator_vs_p(
     return _bell_grid(p_values, eta, d * d, block_s_b)
 
 
-def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[float, float, float, float]:
-    """Standard angle choices (phi1, phi2, phi1', phi2') for the Bell test.
+#: The Bell-test angle presets by name (constants.PRESETS): the angles
+#: (phi1, phi2, phi1', phi2') from theta and the sign of eta, the S_B(G) they
+#: reach (G a float or an array) and the least G at which S_B reaches 2.
+#: The thresholds are limits of the presets, not of the states: at p = 1/2
+#: other phases reach S_B = 2 sqrt(1+G^2), past 2 for every G > 0.
+PRESET_TABLE = {
+    "maximal": {
+        "angles": lambda t, sign: (t, t + math.pi / 4.0, t + math.pi / 2.0, t + 3.0 * math.pi / 4.0),
+        "s_b": lambda g: math.sqrt(2.0) * (1.0 + g),
+        "g_min": math.sqrt(2.0) - 1.0,
+    },
+    "wide": {
+        "angles": lambda t, sign: (t, t, t + math.pi / 3.0, t - sign * 2.0 * math.pi / 3.0),
+        "s_b": lambda g: 7.0 / 4.0 + 0.75 * g,
+        "g_min": 1.0 / 3.0,
+    },
+}
 
-    "maximal": quarter-pi ladder theta, theta+pi/4, theta+pi/2, theta+3pi/4,
-    reaching S_B = sqrt(2)(1+G) with violation for G > sqrt(2)-1.
-    "wide": phi1 = phi2 = theta, phi1' = theta+pi/3 and phi2' = theta-(2pi/3)
-    for non-negative eta (mirrored for negative eta), reaching
-    S_B = 7/4 + 3G/4 with violation for G > 1/3.
-    Both thresholds are limits of these presets, not of the states: at
-    p = 1/2 other phases reach S_B = 2 sqrt(1+G^2), past 2 for every G > 0.
-    The ladder starts at reduce_angle(theta), the phase BellConfig keeps,
+
+def _preset(kind: str) -> dict:
+    if kind not in PRESET_TABLE:
+        raise ValueError(f"unknown preset {kind!r}; choose from {PRESETS}")
+    return PRESET_TABLE[kind]
+
+
+def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[float, float, float, float]:
+    """Preset angles (phi1, phi2, phi1', phi2') for the Bell test (see PRESET_TABLE).
+
+    The angles start at reduce_angle(theta), the phase BellConfig keeps,
     so no offset is lost to rounding at large |theta|.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    theta = reduce_angle(theta)
-    if kind == "maximal":
-        return (theta, theta + math.pi / 4.0, theta + math.pi / 2.0, theta + 3.0 * math.pi / 4.0)
-    if kind == "wide":
-        sign = -1.0 if eta_sign < 0.0 else 1.0
-        return (theta, theta, theta + math.pi / 3.0, theta - sign * 2.0 * math.pi / 3.0)
-    raise ValueError(f"unknown preset {kind!r}; choose from {PRESETS}")
+    return _preset(kind)["angles"](reduce_angle(theta), -1.0 if eta_sign < 0.0 else 1.0)
 
 
 def analytic_s_b(kind: str, g):
     """Preset Bell value as a function of the degree of entanglement (a float or an array)."""
     _require_degree(g)
-    if kind == "maximal":
-        return math.sqrt(2.0) * (1.0 + g)
-    if kind == "wide":
-        return 7.0 / 4.0 + 0.75 * g
-    raise ValueError(f"unknown preset {kind!r}; choose from {PRESETS}")
+    return _preset(kind)["s_b"](g)
 
 
 def violation_threshold(kind: str) -> float:
     """Smallest degree of entanglement at which the preset reaches S_B = 2."""
-    if kind == "maximal":
-        return G_MIN_MAXIMAL
-    if kind == "wide":
-        return G_MIN_WIDE
-    raise ValueError(f"unknown preset {kind!r}; choose from {PRESETS}")
+    return _preset(kind)["g_min"]
 
 
 def preset_config(kind: str, eta: float, p: float = 0.5, theta: float = 0.0) -> BellConfig:
     """BellConfig with preset angles at the given state parameters."""
-    phi1, phi2, phi1p, phi2p = angle_preset(kind, theta, eta_sign=1.0 if eta >= 0 else -1.0)
-    return BellConfig(
-        p=p, theta=theta, eta=eta, phi1=phi1, phi2=phi2, phi1_prime=phi1p, phi2_prime=phi2p
-    )
+    return BellConfig(p, theta, eta, *angle_preset(kind, theta, eta_sign=1.0 if eta >= 0 else -1.0))
 
 
 def grid_blocks(start: float, step: float, count: int, last=None):

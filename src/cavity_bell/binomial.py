@@ -46,6 +46,23 @@ def reduce_angle(x: float) -> float:
     return x if abs(x) <= math.tau else wrap_angle(x)
 
 
+def set_state_fields(params, probabilities: tuple[str, ...], angles: tuple[str, ...]) -> None:
+    """Check BellConfig's or EntangledGbsParams' fields in order, then store the angles reduced.
+
+    Each field must be finite, eta have a finite square and each probability lie in [0, 1].
+    """
+    for name in params._fields:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if name == "eta" and not math.isfinite(value * value):
+            raise ValueError(f"eta must have a finite square, got {value!r}")
+        if name in probabilities and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    for name in angles:
+        object.__setattr__(params, name, reduce_angle(getattr(params, name)))
+
+
 def _set_p_phi(params) -> None:
     """Check and store the (p, phi) pair of BinomialParams or GbsParams.
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle
+from .binomial import GbsParams, gbs_state, orthogonal_partner, set_state_fields
 from .fock import (
     DEFAULT_N_MAX, Frozen, TwoCavityState, identity, pair_expectation, quadrature, tensor,
 )
@@ -41,16 +41,7 @@ class EntangledGbsParams(Frozen):
     eta: float
 
     def __post_init__(self):
-        for name in ("p1", "p2", "theta1", "theta2", "eta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if name == "eta" and not math.isfinite(value * value):
-                raise ValueError(f"eta must have a finite square, got {value!r}")
-            if name in ("p1", "p2") and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        for name in ("theta1", "theta2"):
-            object.__setattr__(self, name, reduce_angle(getattr(self, name)))
+        set_state_fields(self, ("p1", "p2"), ("theta1", "theta2"))
 
 
 def norm_const(eta):
@@ -58,7 +49,7 @@ def norm_const(eta):
 
     eta may be a float or an array of weights.
     """
-    return 1.0 / np.sqrt(1.0 + eta**2)
+    return 1.0 / np.sqrt(1.0 + eta * eta)
 
 
 def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> TwoCavityState:
@@ -112,8 +103,9 @@ def field_covariance(params: EntangledGbsParams) -> FieldStats:
     h = 2.0 * math.sqrt(p1 * p2 * (1.0 - p1) * (1.0 - p2))
     c1, c2 = math.cos(params.theta1), math.cos(params.theta2)
     s1, s2 = math.sin(params.theta1), math.sin(params.theta2)
-    mixed = eta / (1.0 + eta**2) * (f * c1 * c2 + s1 * s2)
-    damping = (1.0 - eta**2) / (1.0 + eta**2)
+    square = eta * eta
+    mixed = eta / (1.0 + square) * (f * c1 * c2 + s1 * s2)
+    damping = (1.0 - square) / (1.0 + square)
     return FieldStats(
         e1=2.0 * math.sqrt(p1 * (1.0 - p1)) * damping * c1,
         e2=-2.0 * math.sqrt(p2 * (1.0 - p2)) * damping * c2,

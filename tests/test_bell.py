@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cavity_bell.bell import (
+    PRESET_TABLE,
     BellConfig,
     DichotomicParams,
     PArgmax,
@@ -32,7 +33,8 @@ from cavity_bell.bell import (
     violation_threshold,
 )
 from cavity_bell.binomial import GbsParams, gbs_state, orthogonal_partner
-from cavity_bell.fields import entangled_gbs_state
+from cavity_bell.constants import PRESETS
+from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
 from cavity_bell.fock import StateVector, expectation, inner, joint
 
 
@@ -150,6 +152,9 @@ def test_degree_of_entanglement():
     assert math.isclose(degree_of_entanglement(2.0), 0.8, abs_tol=1e-14)
     assert math.isclose(degree_of_entanglement(0.5), 0.8, abs_tol=1e-14)
     assert math.isclose(degree_of_entanglement(-1.0), 1.0, abs_tol=1e-14)
+    # eta is squared as eta * eta, which goes to inf (G = 0) where eta**2 overflows
+    assert degree_of_entanglement(1e160) == 0.0
+    assert degree_of_entanglement(1e-160) == 2e-160
 
 
 def test_eta_degree_roundtrip():
@@ -430,8 +435,48 @@ def test_analytic_s_b_values_and_thresholds():
     assert math.isclose(violation_threshold("wide"), 1.0 / 3.0, abs_tol=1e-15)
     with pytest.raises(ValueError):
         analytic_s_b("maximal", 1.5)
-    with pytest.raises(ValueError):
-        analytic_s_b("nope", 0.5)
+
+
+def test_preset_table_holds_the_parsers_choices():
+    assert tuple(PRESET_TABLE) == PRESETS
+    calls = (
+        lambda: angle_preset("nope"),
+        lambda: analytic_s_b("nope", 0.5),
+        lambda: violation_threshold("nope"),
+        lambda: preset_config("nope", 0.5),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "unknown preset 'nope'; choose from ('maximal', 'wide')"
+
+
+BELL_FIELDS = {
+    "p": 0.4, "theta": 0.1, "eta": 0.7, "phi1": 0.2, "phi2": 0.3, "phi1_prime": 1.4, "phi2_prime": 2.5,
+}
+STATE_FIELDS = {"p1": 0.3, "p2": 0.6, "theta1": 0.1, "theta2": 0.2, "eta": -0.7}
+
+
+def one_fault_cases():
+    for cls, fields in ((BellConfig, BELL_FIELDS), (EntangledGbsParams, STATE_FIELDS)):
+        for name in fields:
+            faults = [(bad, "must be finite") for bad in ("nan", "inf", "-inf")]
+            if name == "eta":
+                faults += [(bad, "must have a finite square") for bad in ("1e+155", "-1e+200")]
+            if name in ("p", "p1", "p2"):
+                faults += [(bad, "must lie in [0, 1]") for bad in ("-0.1", "1.5", "1.0000000000000002")]
+            for bad, rule in faults:
+                yield pytest.param(
+                    cls, fields, name, bad, f"{name} {rule}, got {bad}", id=f"{cls.__name__}-{name}={bad}"
+                )
+
+
+@pytest.mark.parametrize("cls, fields, name, bad, message", one_fault_cases())
+def test_one_fault_names_its_field(cls, fields, name, bad, message):
+    # bad is the value as repr shows it, so the message must quote it back
+    with pytest.raises(ValueError) as info:
+        cls(**{**fields, name: float(bad)})
+    assert str(info.value) == message
 
 
 def test_angle_preset_layout():

@@ -21,6 +21,7 @@ from cavity_bell.bell import (
     bell_function_vs_p,
     degree_of_entanglement,
     dichotomic_operator,
+    dichotomic_pair_expectation,
 )
 from cavity_bell.binomial import GbsParams
 from cavity_bell.dynamics import (
@@ -30,7 +31,7 @@ from cavity_bell.dynamics import (
     generate_entangled_gbs,
     timing_sensitivity,
 )
-from cavity_bell.dynamics import _bell_protocol, _jc_stack, _probe_pulses
+from cavity_bell.dynamics import _bell_protocol, _correlation_from_probs, _jc_stack, _probe_pulses
 from cavity_bell.fields import (
     EntangledGbsParams,
     entangled_gbs_state,
@@ -54,10 +55,59 @@ angle = st.floats(-math.pi, math.pi)
 weight = st.floats(-3.0, 3.0)
 n_max = st.integers(1, 4)
 angles = st.tuples(angle, angle, angle, angle)
+# nonzero, so that 1/eta is a weight too
+invertible_weight = st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0))
+timing_errors = st.lists(
+    st.one_of(st.floats(-0.45, -0.01), st.floats(0.01, 0.45)), min_size=1, max_size=3
+)
 
 
 def config(p, theta, eta, phis):
     return BellConfig(p, theta, eta, *phis)
+
+
+def setting_correlations(p, theta, eta, phis, epsilons):
+    """The four per-setting correlations by each route, one row per route.
+
+    Rows: the closed form, the operator oracle, then the protocol at each
+    timing error.
+    """
+    cfg = config(p, theta, eta, phis)
+    amplitudes = entangled_gbs_state(cfg.state_params).amplitudes
+    closed = [bell_correlation(cfg, a, b) for a, b in cfg.settings]
+    oracle = [dichotomic_pair_expectation(amplitudes, cfg.p, a, b) for a, b in cfg.settings]
+    stages = _bell_protocol(cfg, np.asarray(epsilons))
+    protocol = [_correlation_from_probs(probs) for *_, probs in stages]
+    return np.vstack([closed, oracle, *protocol])
+
+
+@SETTINGS
+@given(probability, angle, weight, angles, angle, timing_errors)
+def test_correlations_are_invariant_under_a_global_phase(p, theta, eta, phis, delta, epsilons):
+    shifted = [phi + delta for phi in phis]
+    got = setting_correlations(p, theta + delta, eta, shifted, epsilons)
+    assert np.max(np.abs(got - setting_correlations(p, theta, eta, phis, epsilons))) <= 1e-12
+
+
+@SETTINGS
+@given(probability, angle, invertible_weight, angles, timing_errors)
+def test_cavity_swap_exchanges_the_mixed_settings(p, theta, eta, phis, epsilons):
+    # (phi1, phi2, phi1', phi2') -> (phi2, phi1, phi2', phi1') with eta -> 1/eta:
+    # settings (phi1, phi2') and (phi1', phi2) trade places
+    phi1, phi2, phi1p, phi2p = phis
+    got = setting_correlations(p, theta, 1.0 / eta, (phi2, phi1, phi2p, phi1p), epsilons)
+    want = setting_correlations(p, theta, eta, phis, epsilons)
+    assert np.max(np.abs(got[:, [0, 2, 1, 3]] - want)) <= 1e-12
+
+
+@SETTINGS
+@given(probability, angle, invertible_weight, angles, timing_errors)
+def test_partner_relabel_leaves_the_correlations(p, theta, eta, phis, epsilons):
+    # |p, t> and its partner |1-p, t+pi> trade roles: F_p(phi) -> -F_p(phi)
+    # in each cavity, and the state's branches swap, so eta -> 1/eta
+    relabelled = [phi + math.pi for phi in phis]
+    got = setting_correlations(1.0 - p, theta + math.pi, 1.0 / eta, relabelled, epsilons)
+    assert np.max(np.abs(got - setting_correlations(p, theta, eta, phis, epsilons))) <= 1e-12
 
 
 @SETTINGS
