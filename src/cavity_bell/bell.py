@@ -26,8 +26,8 @@ import numpy as np
 
 from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle, set_state_fields
 from .constants import MAX_GRID_POINTS, PRESETS
-from .fields import EntangledGbsParams, norm_const
-from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, braket
+from .fields import EntangledGbsParams, cross_weight, norm_const
+from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, pair_expectation
 
 #: Complex amplitudes per block of a batched evaluation (64 KiB). A block
 #: takes as many grid points as fit, and at least one, so the working arrays
@@ -166,7 +166,7 @@ def dichotomic_eigenstates(
 
 def degree_of_entanglement(eta: float) -> float:
     """G = 2|eta| / (1 + eta^2), from 0 (product) to 1 (maximally entangled)."""
-    return 2.0 * abs(eta) / (1.0 + eta * eta)
+    return 2.0 * abs(cross_weight(eta))
 
 
 def _require_degree(g) -> None:
@@ -198,21 +198,15 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
 
     with a_j the angle relative to theta and s_j = sin(a_j / 2).
     """
-    return _correlations(config.p, config.theta, _weight(config.eta), ((phi_a, phi_b),))[0]
-
-
-def _weight(eta):
-    # eta/(1+eta^2) for a float or an array; eta * eta rounds the same for
-    # both, where a float's eta**2 (libm pow) can be an ulp off.
-    return eta / (1.0 + eta * eta)
+    return _correlations(config.p, config.theta, cross_weight(config.eta), ((phi_a, phi_b),))[0]
 
 
 def _correlations(p, theta: float, weight, settings) -> list:
     # The closed form of bell_correlation at each (phi_a, phi_b) of settings,
-    # with weight = _weight(eta). p and the weight may be floats or arrays of
-    # one length, theta and the angles are floats. The p terms are taken
-    # once, and squared as d * d like _weight, so a point and a grid round
-    # alike.
+    # with weight = cross_weight(eta). p and the weight may be floats or
+    # arrays of one length, theta and the angles are floats. The p terms are
+    # taken once, and squared as d * d like cross_weight, so a point and a
+    # grid round alike.
     k = 8.0 * p * (1.0 - p)
     d = 1.0 - 2.0 * p
     q = 4.0 * (d * d)
@@ -231,27 +225,15 @@ def dichotomic_pair_expectation(amplitudes, p, phi_a: float, phi_b: float) -> np
     """Operator-oracle correlation <F_p(phi_a) x F_p(phi_b)> on joint states.
 
     ``amplitudes`` is one joint amplitude matrix or a stack (..., d, d) of
-    them, and the result holds one real correlation per matrix:
-    braket(psi, F_a @ psi @ F_b^T), as in fock.pair_expectation. p picks
-    the route. A float p gives one (F_a, F_b) pair for the whole stack,
-    applied in two row-stacked (n d, d) @ (d, d) products: the first gives
-    (F_a psi)^T, the second F_a psi F_b^T. Each output row depends on its
-    input row alone, so a matrix's value is the same to the bit in a stack
-    of any size; the column-stacked F_a @ (d, n d) form is not, as BLAS
-    blocks its columns by n. A vector p, one value per matrix, gives each
-    matrix its own F pair in two stacked matmuls, one small BLAS call per
-    matrix. The routes agree to about 1e-16, not always to the bit.
+    them, and the result holds one real correlation per matrix, from
+    fock.pair_expectation. p picks its route: a float p gives one
+    (F_a, F_b) pair for the whole stack, a vector p, one value per matrix,
+    one F pair per matrix.
     """
     psi = np.asarray(amplitudes)
-    d = psi.shape[-1]
-    f_a = _dichotomic_matrices(p, phi_a, d - 1)
-    f_b = _dichotomic_matrices(p, phi_b, d - 1)
-    if f_a.ndim == 2:
-        left = (np.swapaxes(psi, -1, -2).reshape(-1, d) @ f_a.T).reshape(psi.shape)
-        sandwich = (np.swapaxes(left, -1, -2).reshape(-1, d) @ f_b.T).reshape(psi.shape)
-    else:
-        sandwich = f_a @ psi @ np.swapaxes(f_b, -1, -2)
-    return braket(psi, sandwich).real
+    n_max = psi.shape[-1] - 1
+    f_a, f_b = (_dichotomic_matrices(p, phi, n_max) for phi in (phi_a, phi_b))
+    return pair_expectation(f_a, f_b, psi).real
 
 
 def bell_function(config: BellConfig) -> float:
@@ -259,7 +241,7 @@ def bell_function(config: BellConfig) -> float:
 
     The same code as bell_function_vs_p, so a point equals its grid value.
     """
-    return chsh(*_correlations(config.p, config.theta, _weight(config.eta), config.settings))
+    return chsh(*_correlations(config.p, config.theta, cross_weight(config.eta), config.settings))
 
 
 def bell_function_operator(config: BellConfig, n_max: int = DEFAULT_N_MAX) -> float:
@@ -306,7 +288,7 @@ def bell_function_vs_p(
     theta, settings = config.theta, config.settings
 
     def block_s_b(p, eta):
-        return chsh(*_correlations(p, theta, _weight(eta), settings))
+        return chsh(*_correlations(p, theta, cross_weight(eta), settings))
 
     return _bell_grid(p_values, eta, 1, block_s_b)
 
@@ -381,7 +363,10 @@ def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[
     """Preset angles (phi1, phi2, phi1', phi2') for the Bell test (see PRESET_TABLE).
 
     The angles start at reduce_angle(theta), the phase BellConfig keeps,
-    so no offset is lost to rounding at large |theta|.
+    so no offset is lost to rounding at large |theta|. eta_sign is eta
+    itself, or any number of its sign: this is the one place where eta
+    becomes the sign a table row takes, -1 below zero and +1 otherwise
+    (-0.0 and NaN included).
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
@@ -401,7 +386,7 @@ def violation_threshold(kind: str) -> float:
 
 def preset_config(kind: str, eta: float, p: float = 0.5, theta: float = 0.0) -> BellConfig:
     """BellConfig with preset angles at the given state parameters."""
-    return BellConfig(p, theta, eta, *angle_preset(kind, theta, eta_sign=1.0 if eta >= 0 else -1.0))
+    return BellConfig(p, theta, eta, *angle_preset(kind, theta, eta))
 
 
 def grid_blocks(start: float, step: float, count: int, last=None):

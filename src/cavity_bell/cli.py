@@ -217,7 +217,7 @@ def cmd_scan(args) -> int:
 def cmd_pscan(args) -> int:
     from .bell import PArgmax, angle_preset, bell_function_vs_p, p_grid
 
-    angles = angle_preset(args.preset, args.theta, eta_sign=1.0 if args.eta >= 0 else -1.0)
+    angles = angle_preset(args.preset, args.theta, args.eta)
     best = PArgmax()
     chunks = ((ps, best.add(ps, bell_function_vs_p(args.theta, args.eta, angles, ps)))
               for ps in p_grid(args.step))  # p_grid checks the step here, before any block

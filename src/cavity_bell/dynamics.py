@@ -281,54 +281,38 @@ def _probe_pulses(joint: np.ndarray, pulses: np.ndarray) -> np.ndarray:
     return state.reshape(rows, 2, d, 2, d, 2, 2).transpose(0, 5, 6, 3, 1, 4, 2)
 
 
-def _readout(p: float, settings) -> list:
-    """The probes' Ramsey zones, grouped by the first probe's angle.
-
-    One entry per distinct phi_a, in order of first use: its rotation, the
-    stack of rotations for the phi_b paired with it, and the indices of
-    those settings.
-    """
-    groups: dict = {}
-    for index, (phi_a, phi_b) in enumerate(settings):
-        groups.setdefault(phi_a, []).append((index, phi_b))
-    return [
-        (
-            _basis_rotation(p, phi_a),
-            np.stack([_basis_rotation(p, phi_b) for _, phi_b in pairs]),
-            [index for index, _ in pairs],
-        )
-        for phi_a, pairs in groups.items()
-    ]
-
-
-def _probe_outcome_probabilities(joint: np.ndarray, pulses: np.ndarray, readout) -> np.ndarray:
-    """Joint probe-atom outcome probabilities for each pair of settings.
+def _probe_outcome_probabilities(
+    joint: np.ndarray, pulses: np.ndarray, first, second
+) -> np.ndarray:
+    """Joint probe-atom outcome probabilities at the four CHSH settings.
 
     The probes cross the cavities as in _probe_pulses, then their Ramsey
-    zones (``readout``, from _readout) exactly as in probe_measure. The
-    generation atoms are kept in the sum, which is the same as tracing them
-    out, so no conditioning on their state is assumed. Returns
-    probs[k, s, q1, q2] for row k and setting s over the probe indices
-    (0 = down = outcome -1, 1 = up = outcome +1).
+    zones exactly as in probe_measure: ``first`` holds the first probe's
+    rotations for (phi1, phi1'), ``second`` the stack of the second probe's
+    for (phi2, phi2'). The generation atoms are kept in the sum, which is
+    the same as tracing them out, so no conditioning on their state is
+    assumed. Returns probs[k, s, q1, q2] for row k and setting
+    s = 2 i + j, first[i] with second[j] (the order of BellConfig.settings),
+    over the probe indices (0 = down = outcome -1, 1 = up = outcome +1).
 
-    Each phi_a rotates the first probe of every row in one matrix
-    product, and all of its phi_b rotate the second probe in one more, with
-    their rotations stacked. |amplitude|^2 is summed over (field1, field2)
-    first and then over (atom1, atom2), the order in which the per-setting
+    Each first[i] rotates the first probe of every row in one matrix
+    product, and both of second rotate the second probe in one more.
+    |amplitude|^2 is summed over (field1, field2) first and then over
+    (atom1, atom2), the order in which the per-setting
     np.sum(..., axis=(1, 2, 5, 6)) of the stage-by-stage route sums.
     """
     full = _probe_pulses(joint, pulses)
     rows = len(joint)
-    probs = np.empty((rows, sum(len(indices) for *_, indices in readout), 2, 2))
+    probs = np.empty((rows, 4, 2, 2))
     # (probe1, probe2 atom1 atom2 row field1 field2), probe 1 leading
     flat = full.transpose(3, 4, 1, 2, 0, 5, 6).reshape(2, -1)
-    for rotation_a, rotations_b, indices in readout:
+    for i, rotation_a in enumerate(first):
         # (probe2, probe1 atom1 atom2 row field1 field2), probe 2 leading
         rotated = (rotation_a @ flat).reshape(2, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-        weights = np.abs(rotations_b.reshape(-1, 2) @ rotated) ** 2
+        weights = np.abs(second.reshape(-1, 2) @ rotated) ** 2
         # (phi_b, probe2, probe1, atom1 atom2, row, field1 field2)
-        weights = weights.reshape(len(indices), 2, 2, 4, rows, -1).sum(axis=5).sum(axis=3)
-        probs[:, indices] = weights.transpose(3, 0, 2, 1)  # (row, setting, probe1, probe2)
+        weights = weights.reshape(2, 2, 2, 4, rows, -1).sum(axis=5).sum(axis=3)
+        probs[:, 2 * i : 2 * i + 2] = weights.transpose(3, 0, 2, 1)  # (row, setting, q1, q2)
     return probs
 
 
@@ -339,7 +323,8 @@ def _bell_protocol(bell: BellConfig, relative_errors: np.ndarray, n_max: int = 1
     for each block of rows (see bell.blocks), its slice, the generated
     joint amplitudes (k, atom1, atom2, field1, field2) and the probe
     outcome probabilities (k, setting, q1, q2). The Ramsey-rotated atom
-    pair and every readout rotation are made once, before the first block.
+    pair and the four readout rotations are made once, before the first
+    block.
 
     A cavity written by one excited atom and read by one ground-state
     probe never holds more than one photon, so the default cutoff is 1.
@@ -351,14 +336,15 @@ def _bell_protocol(bell: BellConfig, relative_errors: np.ndarray, n_max: int = 1
     (tests/test_properties.py::test_fock_cutoff_is_inert).
     """
     pair = _rotated_pair(bell.state_params, n_max + 1)
-    readout = _readout(bell.p, bell.settings)
-    # the largest stack is one phi_a's batched readout: its phi_b times the
+    first = [_basis_rotation(bell.p, phi) for phi in (bell.phi1, bell.phi1_prime)]
+    second = np.stack([_basis_rotation(bell.p, phi) for phi in (bell.phi2, bell.phi2_prime)])
+    # the largest stack is one phi_a's readout: two phi_b times the
     # (atom1, atom2, probe1, probe2, field1, field2) amplitudes of a row
-    row_size = max(len(indices) for *_, indices in readout) * pair.size * 4
+    row_size = 2 * pair.size * 4
     for part in blocks(len(relative_errors), row_size):
         pulses = _jc_stack(PROBE_PULSE_AREA * (1.0 + relative_errors[part]), n_max)
         joint = _generation_joint(pair, pulses)
-        yield part, joint, _probe_outcome_probabilities(joint, pulses, readout)
+        yield part, joint, _probe_outcome_probabilities(joint, pulses, first, second)
 
 
 def _correlation_from_probs(probs: np.ndarray) -> np.ndarray:

@@ -52,6 +52,15 @@ def norm_const(eta):
     return 1.0 / np.sqrt(1.0 + eta * eta)
 
 
+def cross_weight(eta):
+    """eta/(1+eta^2), the weight of the two branches' cross terms.
+
+    eta may be a float or an array; eta * eta rounds the same for both,
+    where a float's eta**2 (libm pow) can be an ulp off.
+    """
+    return eta / (1.0 + eta * eta)
+
+
 def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> TwoCavityState:
     """Construct |Psi> as an explicit joint amplitude matrix."""
     g1 = GbsParams(params.p1, params.theta1)
@@ -104,7 +113,7 @@ def field_covariance(params: EntangledGbsParams) -> FieldStats:
     c1, c2 = math.cos(params.theta1), math.cos(params.theta2)
     s1, s2 = math.sin(params.theta1), math.sin(params.theta2)
     square = eta * eta
-    mixed = eta / (1.0 + square) * (f * c1 * c2 + s1 * s2)
+    mixed = cross_weight(eta) * (f * c1 * c2 + s1 * s2)
     damping = (1.0 - square) / (1.0 + square)
     return FieldStats(
         e1=2.0 * math.sqrt(p1 * (1.0 - p1)) * damping * c1,
@@ -133,7 +142,7 @@ def field_expectation_operator(
     """Operator-oracle value of <E_j>: build the state, apply a + a-dagger."""
     if cavity not in (1, 2):
         raise ValueError(f"cavity must be 1 or 2, got {cavity!r}")
-    field, one = quadrature(n_max), identity(n_max)
+    field, one = quadrature(n_max).matrix, identity(n_max).matrix
     ops = (field, one) if cavity == 1 else (one, field)
     state = entangled_gbs_state(params, n_max)
     return float(pair_expectation(*ops, state.amplitudes).real)
@@ -141,5 +150,6 @@ def field_expectation_operator(
 
 def field_correlation_operator(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> float:
     """Operator-oracle value of <E_1 E_2>."""
+    field = quadrature(n_max).matrix
     state = entangled_gbs_state(params, n_max)
-    return float(pair_expectation(quadrature(n_max), quadrature(n_max), state.amplitudes).real)
+    return float(pair_expectation(field, field, state.amplitudes).real)

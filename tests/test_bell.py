@@ -155,6 +155,9 @@ def test_degree_of_entanglement():
     # eta is squared as eta * eta, which goes to inf (G = 0) where eta**2 overflows
     assert degree_of_entanglement(1e160) == 0.0
     assert degree_of_entanglement(1e-160) == 2e-160
+    # G = 2 |eta/(1+eta^2)|: no 2 |eta| to overflow and divide inf by inf
+    assert degree_of_entanglement(1e308) == 0.0
+    assert degree_of_entanglement(-1.7e308) == 0.0
 
 
 def test_eta_degree_roundtrip():

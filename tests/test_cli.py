@@ -452,6 +452,10 @@ GOLDEN = {
     "pscan": (["pscan", "maximal", "--eta", "0.7", "--theta", "0.4", "--step", "0.01"],
               "eb907adae2a4529c18ef9afd3491bca9ef732dd259d46f28caa39b636ea1edf7",
               "6885c6d3e33edc022fface95b84a33459c8788e975b458611a438e84b1291c09"),
+    # the only path that reads eta's sign: wide mirrors phi2' for eta < 0
+    "pscan-wide-mirrored": (["pscan", "wide", "--eta=-0.6", "--step", "0.01"],
+                            "50293d47a916347dad76823bf84baace33cbaf1065aaea1e0453455247fe17e0",
+                            "f025add05cd5d3a80dab4dcf6517c2ca6eb298930a14a283403da1ed5ceeeeca"),
     "covariance": (["covariance", "--p1", "0.3", "--p2", "0.8", "--theta1", "0.25pi",
                     "--theta2=-0.3pi", "--eta=-0.7"],
                    "0de31a34bf78ac8a8151c98c8178af5a6e9721b97d9caf90c24e5d9caa86e102",

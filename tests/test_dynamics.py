@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cavity_bell.bell import (
+    BellConfig,
     DichotomicParams,
     bell_correlation,
     bell_function,
@@ -515,41 +516,51 @@ def _reference_protocol(bell, gts):
 
 
 def _protocol_cases():
-    """(preset, eta, p, theta, errors): random points and the edges of each axis."""
+    """(BellConfig, errors) cases of the protocol.
+
+    Presets at random points and at the edges of each axis, then random
+    settings with phi1 = phi1', phi2 = phi2' or both, which no preset has.
+    """
     rng = np.random.default_rng(19)
     edges = np.array([0.0, 0.49, -0.49, 1e-9])
     for kind in ("maximal", "wide"):
         for eta in (0.0, -0.7, 1.0, -2.5):
             for p in (0.0, 0.5, 1.0):
-                yield kind, eta, p, 0.3, edges
+                yield preset_config(kind, eta, p=p, theta=0.3), edges
     for _ in range(120):
         errors = np.concatenate([edges, rng.uniform(-0.499, 0.499, int(rng.integers(1, 70)))])
-        yield (
+        yield preset_config(
             str(rng.choice(["maximal", "wide"])),
             float(rng.uniform(-3.0, 3.0)),
-            float(rng.uniform(0.0, 1.0)),
-            float(rng.uniform(-math.pi, math.pi)),
-            errors,
-        )
+            p=float(rng.uniform(0.0, 1.0)),
+            theta=float(rng.uniform(-math.pi, math.pi)),
+        ), errors
+    for index in range(90):
+        errors = np.concatenate([edges, rng.uniform(-0.499, 0.499, int(rng.integers(1, 20)))])
+        p = (0.0, 0.5, 1.0)[index] if index < 3 else float(rng.uniform(0.0, 1.0))
+        eta, theta, phi1, phi2, phi1_prime, phi2_prime = rng.uniform(-math.pi, math.pi, 6)
+        if index % 3 != 1:
+            phi1_prime = phi1
+        if index % 3 != 0:
+            phi2_prime = phi2
+        yield BellConfig(p, theta, eta, phi1, phi2, phi1_prime, phi2_prime), errors
 
 
 def test_one_photon_protocol_is_the_cutoff_2_route_bit_for_bit():
-    for kind, eta, p, theta, errors in _protocol_cases():
-        bell = preset_config(kind, eta, p=p, theta=theta)
-        case = (kind, eta, p, theta)
+    for bell, errors in _protocol_cases():
         joint_ref, probs_ref = _reference_protocol(bell, PROBE_PULSE_AREA * (1.0 + errors))
-        assert not np.any(joint_ref[..., 2:, :]) and not np.any(joint_ref[..., 2:]), case
+        assert not np.any(joint_ref[..., 2:, :]) and not np.any(joint_ref[..., 2:]), bell
         stages = list(_bell_protocol(bell, errors))
         assert np.array_equal(np.concatenate([joint for _, joint, _ in stages]),
-                              joint_ref[..., :2, :2]), case
-        assert np.array_equal(np.concatenate([probs for *_, probs in stages]), probs_ref), case
+                              joint_ref[..., :2, :2]), bell
+        assert np.array_equal(np.concatenate([probs for *_, probs in stages]), probs_ref), bell
         # the sweep's two columns, from the reference amplitudes
         overlap = braket(entangled_gbs_state(bell.state_params).amplitudes,
                          joint_ref[:, ATOM_DOWN, ATOM_DOWN])
         rows = timing_sensitivity(ExperimentConfig(bell=bell, shots=1, seed=0), errors)
-        assert np.array_equal(rows.epsilon, errors), case
-        assert np.array_equal(rows.fidelity, np.hypot(overlap.real, overlap.imag) ** 2), case
-        assert np.array_equal(rows.s_b, chsh(*_correlation_from_probs(probs_ref).T)), case
+        assert np.array_equal(rows.epsilon, errors), bell
+        assert np.array_equal(rows.fidelity, np.hypot(overlap.real, overlap.imag) ** 2), bell
+        assert np.array_equal(rows.s_b, chsh(*_correlation_from_probs(probs_ref).T)), bell
         # simulate's pulse is exactly pi/2
         ((_, _, probs),) = _bell_protocol(bell, np.zeros(1))
-        assert np.array_equal(probs, _reference_protocol(bell, np.array([math.pi / 2]))[1]), case
+        assert np.array_equal(probs, _reference_protocol(bell, np.array([math.pi / 2]))[1]), bell

@@ -169,7 +169,7 @@ def test_pair_expectation_matches_joint_operator(p1, phi1, p2, phi2, cutoff, par
     stack = parts[0, :, :d, :d] + 1j * parts[1, :, :d, :d]
     stack[:, 0, 0] += 2.0  # keeps every state away from zero
     stack /= np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2)))[:, None, None]
-    got = pair_expectation(op1, op2, stack)
+    got = pair_expectation(op1.matrix, op2.matrix, stack)
     reference = joint(op1, op2)
     for row, value in zip(stack, got):
         assert abs(value - expectation(reference, TwoCavityState(row))) <= 1e-12
@@ -184,7 +184,7 @@ def test_field_moments_equal_joint_operator_exactly(p1, p2, t1, t2, eta, cutoff)
     field, one = quadrature(cutoff), identity(cutoff)
     for op1, op2 in ((field, one), (one, field), (field, field)):
         want = expectation(joint(op1, op2), state)
-        assert pair_expectation(op1, op2, state.amplitudes) == want
+        assert pair_expectation(op1.matrix, op2.matrix, state.amplitudes) == want
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
