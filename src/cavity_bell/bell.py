@@ -26,7 +26,7 @@ import numpy as np
 
 from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle, set_state_fields
 from .constants import MAX_GRID_POINTS, PRESETS
-from .fields import EntangledGbsParams, cross_weight, norm_const
+from .fields import EntangledGbsParams, cross_weight, entangled_branches, superpose
 from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, pair_expectation
 
 #: Complex amplitudes per block of a batched evaluation (64 KiB). A block
@@ -108,19 +108,18 @@ def chsh(c11: float, c12: float, c21: float, c22: float) -> float:
     return abs(c11 - c12) + abs(c21 + c22)
 
 
-def _dichotomic_matrices(p, phi: float, n_max: int) -> np.ndarray:
-    # F_p(phi) on levels 0..n_max, one matrix per value of p (a float or a vector).
+def _dichotomic_matrix(p: float, phi: float, n_max: int) -> np.ndarray:
+    # F_p(phi) on levels 0..n_max
     if n_max < 1:
         raise ValueError(f"n_max = {n_max} cannot hold a state with N = 1")
-    p = np.asarray(p, dtype=float)
     diag = 2.0 * p - 1.0
-    off = 2.0 * np.sqrt(p * (1.0 - p))
-    mats = np.zeros(p.shape + (n_max + 1, n_max + 1), dtype=complex)
-    mats[..., 0, 0] = -diag
-    mats[..., 1, 1] = diag
-    mats[..., 1, 0] = off * cmath.exp(1j * phi)
-    mats[..., 0, 1] = off * cmath.exp(-1j * phi)
-    return mats
+    off = 2.0 * math.sqrt(p * (1.0 - p))
+    mat = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    mat[0, 0] = -diag
+    mat[1, 1] = diag
+    mat[1, 0] = off * cmath.exp(1j * phi)
+    mat[0, 1] = off * cmath.exp(-1j * phi)
+    return mat
 
 
 def dichotomic_operator(d: GbsParams, n_max: int = DEFAULT_N_MAX) -> FieldOperator:
@@ -130,7 +129,7 @@ def dichotomic_operator(d: GbsParams, n_max: int = DEFAULT_N_MAX) -> FieldOperat
     + 2 sqrt(p(1-p)) (exp(i phi)|1><0| + h.c.); levels above one photon are
     outside both basis states and carry zeros.
     """
-    return FieldOperator(_dichotomic_matrices(d.p, d.phi, n_max))
+    return FieldOperator(_dichotomic_matrix(d.p, d.phi, n_max))
 
 
 def dichotomic_gbs_matrix(p: float, phi: float, phi_prime: float) -> GbsBasisMatrix:
@@ -221,18 +220,16 @@ def _correlations(p, theta: float, weight, settings) -> list:
     return out
 
 
-def dichotomic_pair_expectation(amplitudes, p, phi_a: float, phi_b: float) -> np.ndarray:
+def dichotomic_pair_expectation(amplitudes, p: float, phi_a: float, phi_b: float) -> np.ndarray:
     """Operator-oracle correlation <F_p(phi_a) x F_p(phi_b)> on joint states.
 
     ``amplitudes`` is one joint amplitude matrix or a stack (..., d, d) of
     them, and the result holds one real correlation per matrix, from
-    fock.pair_expectation. p picks its route: a float p gives one
-    (F_a, F_b) pair for the whole stack, a vector p, one value per matrix,
-    one F pair per matrix.
+    fock.pair_expectation with one (F_a, F_b) pair for the whole stack.
     """
     psi = np.asarray(amplitudes)
     n_max = psi.shape[-1] - 1
-    f_a, f_b = (_dichotomic_matrices(p, phi, n_max) for phi in (phi_a, phi_b))
+    f_a, f_b = (_dichotomic_matrix(p, phi, n_max) for phi in (phi_a, phi_b))
     return pair_expectation(f_a, f_b, psi).real
 
 
@@ -247,7 +244,7 @@ def bell_function(config: BellConfig) -> float:
 def bell_function_operator(config: BellConfig, n_max: int = DEFAULT_N_MAX) -> float:
     """S_B with every correlation taken from the operator oracle."""
     angles = (config.phi1, config.phi2, config.phi1_prime, config.phi2_prime)
-    (s_b,) = bell_function_operator_vs_p(config.theta, config.eta, angles, config.p, n_max)
+    (s_b,) = bell_function_operator_vs_eta(config.theta, config.eta, angles, config.p, n_max)
     return float(s_b)
 
 
@@ -293,45 +290,33 @@ def bell_function_vs_p(
     return _bell_grid(p_values, eta, 1, block_s_b)
 
 
-def bell_function_operator_vs_p(
-    theta: float, eta, angles: tuple[float, float, float, float], p_values,
+def bell_function_operator_vs_eta(
+    theta: float, eta, angles: tuple[float, float, float, float], p: float,
     n_max: int = DEFAULT_N_MAX,
 ) -> np.ndarray:
-    """Operator-oracle S_B over the (p, eta) grid that bell_function_vs_p takes.
+    """Operator-oracle S_B over a grid of eta at one p, theta and set of angles.
 
-    Each block of points becomes one (block, d, d) stack of entangled
-    states, built from the Bernoulli rows (sqrt(1-p), exp(i theta) sqrt(p))
-    and their partners at (1-p, theta+pi). Every correlation of a block is
-    then one dichotomic_pair_expectation call; the d^2 x d^2 joint operator
-    is never formed. A float p (scan's 0.5, or one point) stays a float
-    there, so one F pair serves the whole block; a p grid passes its block.
-    At the default cutoff 2500 points take 3-4 ms with one p, against 8-9
-    ms with one F pair per point (in-process, 2-vCPU VM).
+    The state's two branches come from fields.entangled_branches once per
+    call; each block of points superposes them into one (block, d, d) stack
+    (fields.superpose), so a point's state has the bits of
+    entangled_gbs_state. Every correlation of a block is then one
+    dichotomic_pair_expectation call, one F pair for the whole block; the
+    d^2 x d^2 joint operator is never formed. At the default cutoff 2500
+    points take 2-4 ms (in-process, 2-vCPU VM).
     """
-    config = BellConfig(0.5, theta, 0.0, *angles)  # checks theta and the angles
-    if n_max < 1:
-        raise ValueError(f"n_max = {n_max} cannot hold a state with N = 1")
-    d = n_max + 1
-    one_p = np.ndim(p_values) == 0
-    theta, settings = config.theta, config.settings
+    config = BellConfig(p, theta, 0.0, *angles)  # checks p, theta and the angles
+    p, settings = config.p, config.settings
+    state = GbsParams(p, config.theta)
+    branches = entangled_branches(state, state, n_max)
 
-    def block_s_b(p, eta):
-        # |p, theta> and its partner |1-p, theta+pi>, one row per point
-        kets = np.zeros((2, len(p), d), dtype=complex)
-        for ket, q, phase in zip(kets, (p, 1.0 - p), (theta, theta + math.pi)):
-            ket[:, 0] = np.sqrt(1.0 - q)
-            ket[:, 1] = cmath.exp(1j * phase) * np.sqrt(q)
-        cavity1, cavity2 = kets[:, :, :, None], kets[:, :, None, :]
-        weight = eta[:, None, None]
-        branch1, branch2 = cavity1[0] * cavity2[1], cavity1[1] * cavity2[0]
-        amplitudes = norm_const(weight) * (branch1 + weight * branch2)
+    def block_s_b(_, eta):
+        amplitudes = superpose(branches, eta)
         norms = np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
         if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
             raise ValueError("entangled state is not normalized")
-        f_p = p[0] if one_p else p  # one F pair for the block, or one per point
-        return chsh(*(dichotomic_pair_expectation(amplitudes, f_p, a, b) for a, b in settings))
+        return chsh(*(dichotomic_pair_expectation(amplitudes, p, a, b) for a, b in settings))
 
-    return _bell_grid(p_values, eta, d * d, block_s_b)
+    return _bell_grid(p, eta, (n_max + 1) ** 2, block_s_b)
 
 
 #: The Bell-test angle presets by name (constants.PRESETS): the angles

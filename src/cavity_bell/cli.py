@@ -198,7 +198,7 @@ def _bell_config(args):
 def cmd_scan(args) -> int:
     import numpy as np
 
-    from .bell import (analytic_s_b, angle_preset, bell_function_operator_vs_p, eta_for_degree,
+    from .bell import (analytic_s_b, angle_preset, bell_function_operator_vs_eta, eta_for_degree,
                        grid_blocks)
 
     start, step, count = _grid_spec(args.grid)
@@ -207,7 +207,8 @@ def cmd_scan(args) -> int:
     angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
     grid = (np.clip(g, 0.0, 1.0, out=g) for g in grid_blocks(start, step, count))
     chunks = ((g, analytic_s_b(args.preset, g),
-               bell_function_operator_vs_p(args.theta, eta_for_degree(g), angles, 0.5)) for g in grid)
+               bell_function_operator_vs_eta(args.theta, eta_for_degree(g), angles, 0.5))
+              for g in grid)
     rows = _write_csv(args.out, "G,s_b_analytic,s_b_operator", chunks)
     write_manifest(args)
     print(f"wrote {args.out} ({rows} rows)")

@@ -61,15 +61,30 @@ def cross_weight(eta):
     return eta / (1.0 + eta * eta)
 
 
+def entangled_branches(g1: GbsParams, g2: GbsParams, n_max: int) -> tuple:
+    """The amplitude matrices of |g1>|partner of g2> and |partner of g1>|g2>."""
+    branch1 = tensor(gbs_state(g1, n_max), gbs_state(orthogonal_partner(g2), n_max))
+    branch2 = tensor(gbs_state(orthogonal_partner(g1), n_max), gbs_state(g2, n_max))
+    return branch1.amplitudes, branch2.amplitudes
+
+
+def superpose(branches: tuple, eta) -> np.ndarray:
+    """norm_const(eta) (b1 + eta b2) of the two branches of entangled_branches.
+
+    A float eta gives one (d, d) matrix, a vector of them a (len(eta), d, d)
+    stack, each matrix rounded as for its eta alone.
+    """
+    branch1, branch2 = branches
+    if np.ndim(eta):
+        eta = np.asarray(eta)[:, None, None]
+    return norm_const(eta) * (branch1 + eta * branch2)
+
+
 def entangled_gbs_state(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> TwoCavityState:
     """Construct |Psi> as an explicit joint amplitude matrix."""
     g1 = GbsParams(params.p1, params.theta1)
     g2 = GbsParams(params.p2, params.theta2)
-    branch1 = tensor(gbs_state(g1, n_max), gbs_state(orthogonal_partner(g2), n_max))
-    branch2 = tensor(gbs_state(orthogonal_partner(g1), n_max), gbs_state(g2, n_max))
-    return TwoCavityState(
-        norm_const(params.eta) * (branch1.amplitudes + params.eta * branch2.amplitudes)
-    )
+    return TwoCavityState(superpose(entangled_branches(g1, g2, n_max), params.eta))
 
 
 class FieldStats(Frozen):

@@ -258,28 +258,22 @@ def braket(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
 def pair_expectation(a: np.ndarray, b: np.ndarray, amplitudes) -> np.ndarray:
     """<psi| a x b |psi> for every joint amplitude matrix psi[..., m, n].
 
-    Takes one (d, d) matrix or a stack (..., d, d) and returns one complex
-    value per matrix: braket(psi, a @ psi @ b^T), O(d^3) time and O(d^2)
-    memory per state, where the joint operator of ``expectation(joint(a,
-    b), state)`` needs O(d^4). a and b are operator matrices. One (d, d)
-    pair serves the whole stack in two row-stacked (n d, d) @ (d, d)
-    products: the first gives (a psi)^T, the second a psi b^T. Each output
-    row depends on its input row alone, so a matrix's value is the same to
-    the bit in a stack of any size; the column-stacked a @ (d, n d) form is
-    not, as BLAS blocks its columns by n. Stacks of pairs, one per matrix,
-    take two stacked matmuls, one small BLAS call per matrix. The routes
-    agree to about 1e-16, not always to the bit. For the quadrature moments
-    of the package's field states the one-pair route and the joint operator
-    agree bit for bit; dense operators may round differently in the last
-    bit.
+    a and b are (d, d) operator matrices, and psi is one (d, d) matrix or a
+    stack (..., d, d). Returns one complex value per matrix: braket(psi,
+    a psi b^T), O(d^3) time and O(d^2) memory per state, where the joint
+    operator of ``expectation(joint(a, b), state)`` needs O(d^4). The pair
+    serves the whole stack in two row-stacked (n d, d) @ (d, d) products:
+    the first gives (a psi)^T, the second a psi b^T. Each output row depends
+    on its input row alone, so a matrix's value is the same to the bit in a
+    stack of any size; the column-stacked a @ (d, n d) form is not, as BLAS
+    blocks its columns by n. For the quadrature moments of the package's
+    field states this route and the joint operator agree bit for bit; dense
+    operators may round differently in the last bit.
     """
     psi = np.asarray(amplitudes)
-    if a.ndim == 2:
-        d = psi.shape[-1]
-        left = (np.swapaxes(psi, -1, -2).reshape(-1, d) @ a.T).reshape(psi.shape)
-        sandwich = (np.swapaxes(left, -1, -2).reshape(-1, d) @ b.T).reshape(psi.shape)
-    else:
-        sandwich = a @ psi @ np.swapaxes(b, -1, -2)
+    d = psi.shape[-1]
+    left = (np.swapaxes(psi, -1, -2).reshape(-1, d) @ a.T).reshape(psi.shape)
+    sandwich = (np.swapaxes(left, -1, -2).reshape(-1, d) @ b.T).reshape(psi.shape)
     return braket(psi, sandwich)
 
 

@@ -18,7 +18,7 @@ from cavity_bell.bell import (
     bell_correlation,
     bell_function,
     bell_function_operator,
-    bell_function_operator_vs_p,
+    bell_function_operator_vs_eta,
     bell_function_vs_p,
     chsh,
     degree_of_entanglement,
@@ -300,7 +300,7 @@ def test_closed_forms_match_operator_at_large_phase(theta):
             assert abs(s_b - bell_function_operator(cfg)) < 1e-12
         # the scan: analytic S_B(G) against the oracle at the preset angles
         degrees = np.array([0.0, 0.5, 1.0])
-        s_b_operator = bell_function_operator_vs_p(
+        s_b_operator = bell_function_operator_vs_eta(
             theta, eta_for_degree(degrees), angle_preset(kind, theta), 0.5
         )
         assert np.max(np.abs(s_b_operator - analytic_s_b(kind, degrees))) < 1e-12
@@ -336,7 +336,7 @@ def test_scan_oracle_at_large_cutoff():
     degrees = np.array([0.0, 0.5, 1.0])
     tracemalloc.start()
     try:
-        s_b = bell_function_operator_vs_p(
+        s_b = bell_function_operator_vs_eta(
             0.0, eta_for_degree(degrees), angle_preset("maximal"), 0.5, n_max=200
         )
         _, peak = tracemalloc.get_traced_memory()
@@ -356,7 +356,7 @@ def test_scan_oracle_refuses_bad_eta(eta):
     # Both routes name the first bad weight, as BellConfig does.
     rule = "be finite" if not math.isfinite(eta) else "have a finite square"
     message = f"^eta must {rule}, got {re.escape(repr(eta))}$"
-    for grid in (bell_function_operator_vs_p, bell_function_vs_p):
+    for grid in (bell_function_operator_vs_eta, bell_function_vs_p):
         with pytest.raises(ValueError, match=message):
             grid(0.0, [0.5, eta], angle_preset("maximal"), 0.5)
 
@@ -375,37 +375,50 @@ def test_one_p_oracle_row_is_independent_of_stack_size(cutoff):
             assert values[i] == dichotomic_pair_expectation(stack[i : i + 1], p, phi_a, phi_b)[0]
 
 
-def test_one_p_and_per_point_oracle_routes_agree():
-    # the same p as a float (one F pair) and repeated per point (one pair
-    # each) take different contractions; both stay at the closed form
+def test_oracle_matches_closed_form_at_every_cutoff():
+    # cutoffs above one photon only add zero terms to the contractions
     rng = np.random.default_rng(41)
     etas = np.linspace(-2.0, 2.0, 301)
     for cutoff in (1, 2, 5, 20):
         for _ in range(5):
             p, theta = float(rng.uniform()), float(rng.uniform(-4.0, 4.0))
             angles = tuple(rng.uniform(-math.pi, math.pi, 4))
-            one_p = bell_function_operator_vs_p(theta, etas, angles, p, cutoff)
-            per_point = bell_function_operator_vs_p(theta, etas, angles, np.full(len(etas), p), cutoff)
-            assert np.max(np.abs(one_p - per_point)) <= 1e-15
+            oracle = bell_function_operator_vs_eta(theta, etas, angles, p, cutoff)
             closed = bell_function_vs_p(theta, etas, angles, p)
-            assert np.max(np.abs(one_p - closed)) <= 1e-12
-            assert np.max(np.abs(per_point - closed)) <= 1e-12
+            assert np.max(np.abs(oracle - closed)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ("maximal", "wide"))
+@pytest.mark.parametrize("theta", (0.0, 0.3, 2.0))
+def test_scan_oracle_states_are_entangled_gbs_states(kind, theta):
+    # each S_B of a block equals the same contractions on the one state
+    # builder's amplitudes, point by point, to the bit
+    etas = eta_for_degree(np.linspace(0.0, 1.0, 201))
+    angles = angle_preset(kind, theta)
+    scan = bell_function_operator_vs_eta(theta, etas, angles, 0.5)
+    for eta, s_b in zip(etas, scan):
+        cfg = BellConfig(0.5, theta, float(eta), *angles)
+        amplitudes = entangled_gbs_state(cfg.state_params).amplitudes
+        assert s_b == chsh(*(dichotomic_pair_expectation(amplitudes, 0.5, a, b)
+                             for a, b in cfg.settings))
 
 
 @pytest.mark.parametrize("kind", ("maximal", "wide"))
 def test_p_scan_oracle_matches_closed_form(kind):
     # the pscan values against the operator oracle, on the p grid of pscan
-    # and on a joint (p, eta) grid with weights of both signs
+    # and on a joint (p, eta) grid with weights of both signs; the oracle
+    # takes one p a call, and all the weights of one sign share its angles
     ps = np.linspace(0.0, 1.0, 201)
     for theta in (0.0, 0.4, -2.5, 1e13):
-        for eta in (0.7, 0.35, 3.7, -0.6, -1.0):
-            angles = angle_preset(kind, theta, eta_sign=1.0 if eta >= 0 else -1.0)
-            closed = bell_function_vs_p(theta, eta, angles, ps)
-            oracle = bell_function_operator_vs_p(theta, eta, angles, ps)
-            assert np.max(np.abs(closed - oracle)) < 1e-12
+        for etas in ((0.7, 0.35, 3.7), (-0.6, -1.0)):
+            angles = angle_preset(kind, theta, etas[0])
+            closed = np.array([bell_function_vs_p(theta, eta, angles, ps) for eta in etas])
+            oracle = np.array([bell_function_operator_vs_eta(theta, etas, angles, p) for p in ps])
+            assert np.max(np.abs(closed - oracle.T)) < 1e-12
         etas = np.linspace(-2.0, 2.0, len(ps))
         closed = bell_function_vs_p(theta, etas, angles, ps)
-        assert np.max(np.abs(closed - bell_function_operator_vs_p(theta, etas, angles, ps))) < 1e-12
+        oracle = [bell_function_operator_vs_eta(theta, eta, angles, p) for p, eta in zip(ps, etas)]
+        assert np.max(np.abs(closed - np.concatenate(oracle))) < 1e-12
 
 
 @pytest.mark.parametrize("g", (0.1, 0.2, 0.3, 1.0 / 3.0, 0.8, 1.0))

@@ -528,6 +528,48 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command)
     assert len(digests) == 1
 
 
+# Prints the traced peak and the row count of one command run in a fresh
+# interpreter, after an untraced warm-up run (the first argument, a JSON
+# argv) has loaded the physics layer and filled Python's free lists.
+TRACED_RUN = """
+import json, sys, tracemalloc
+from cavity_bell.cli import main
+warm_up, argv, out = json.loads(sys.argv[1]), sys.argv[2:], "out.csv"
+assert main(warm_up + ["--out", out]) == 0
+tracemalloc.start()
+assert main(argv + ["--out", out]) == 0
+print(tracemalloc.get_traced_memory()[1])
+print(sum(1 for _ in open(out)) - 1)
+"""
+
+
+def fresh_traced_peaks(tmp_path, warm_up, runs):
+    """Traced peak and row count of each argv of ``runs``, each in a fresh interpreter.
+
+    The interpreters run side by side, each in a directory of its own.
+    """
+    env = child_env()
+    children = []
+    for index, argv in enumerate(runs):
+        cwd = tmp_path / str(index)
+        cwd.mkdir()
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", TRACED_RUN, json.dumps(warm_up), *argv],
+            cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    out = []
+    try:
+        for child in children:
+            stdout, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr
+            out.append(tuple(map(int, stdout.splitlines()[-2:])))
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+    return out
+
+
 @pytest.mark.parametrize(
     "argv, rows, bytes_per_row",
     [
@@ -542,16 +584,10 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command)
     ids=["pscan", "scan", "sensitivity", "sensitivity-50001"],
 )
 def test_grid_memory_is_one_vector_per_column(tmp_path, argv, rows, bytes_per_row):
-    # a run on the default grid loads the physics layer before tracing starts
-    assert main(argv[:2] + ["--out", str(tmp_path / "small.csv")]) == 0
-    out = tmp_path / "big.csv"
-    tracemalloc.start()
-    try:
-        assert main(argv + ["--out", str(out)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(read(out).splitlines()) - 1 == rows
+    # In a fresh interpreter, so no earlier test decides the verdict; a run
+    # on the default grid loads the physics layer before tracing starts.
+    ((peak, traced_rows),) = fresh_traced_peaks(tmp_path, argv[:2], [argv])
+    assert traced_rows == rows
     assert peak <= 2**20 + bytes_per_row * rows, peak
 
 
@@ -602,7 +638,7 @@ def test_grid_memory_grows_by_its_columns(tmp_path, argv, small, large, columns)
 # at a block size of 16 amplitudes.
 STREAMED = {
     "pscan": ("bell", "bell_function_vs_p", ["pscan", "maximal", "--step", "0.02"]),
-    "scan": ("bell", "bell_function_operator_vs_p", ["scan", "maximal", "--grid", "0:1:0.02"]),
+    "scan": ("bell", "bell_function_operator_vs_eta", ["scan", "maximal", "--grid", "0:1:0.02"]),
     "sensitivity": ("dynamics", "timing_sensitivity",
                     ["sensitivity", "maximal", "--epsilons=-0.2:0.2:0.01"]),
 }
@@ -648,48 +684,6 @@ def test_an_out_in_a_missing_directory_is_one_error_line(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err == f"error: out: cannot write {out}: No such file or directory\n"
     assert list(tmp_path.iterdir()) == []
-
-
-# Prints the traced peak and the row count of one command run in a fresh
-# interpreter, after an untraced warm-up run (the first argument, a JSON
-# argv) has loaded the physics layer and filled Python's free lists.
-TRACED_RUN = """
-import json, sys, tracemalloc
-from cavity_bell.cli import main
-warm_up, argv, out = json.loads(sys.argv[1]), sys.argv[2:], "out.csv"
-assert main(warm_up + ["--out", out]) == 0
-tracemalloc.start()
-assert main(argv + ["--out", out]) == 0
-print(tracemalloc.get_traced_memory()[1])
-print(sum(1 for _ in open(out)) - 1)
-"""
-
-
-def fresh_traced_peaks(tmp_path, warm_up, runs):
-    """Traced peak and row count of each argv of ``runs``, each in a fresh interpreter.
-
-    The interpreters run side by side, each in a directory of its own.
-    """
-    env = child_env()
-    children = []
-    for index, argv in enumerate(runs):
-        cwd = tmp_path / str(index)
-        cwd.mkdir()
-        children.append(subprocess.Popen(
-            [sys.executable, "-c", TRACED_RUN, json.dumps(warm_up), *argv],
-            cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
-    out = []
-    try:
-        for child in children:
-            stdout, stderr = child.communicate(timeout=120)
-            assert child.returncode == 0, stderr
-            out.append(tuple(map(int, stdout.splitlines()[-2:])))
-    finally:
-        for child in children:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
-    return out
 
 
 @pytest.mark.parametrize(

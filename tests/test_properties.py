@@ -17,7 +17,7 @@ from cavity_bell.bell import (
     bell_correlation,
     bell_function,
     bell_function_operator,
-    bell_function_operator_vs_p,
+    bell_function_operator_vs_eta,
     bell_function_vs_p,
     degree_of_entanglement,
     dichotomic_operator,
@@ -113,7 +113,7 @@ def test_partner_relabel_leaves_the_correlations(p, theta, eta, phis, epsilons):
 @SETTINGS
 @given(probability, angle, st.lists(weight, min_size=1, max_size=6), angles, n_max)
 def test_batched_oracle_matches_closed_form_and_single_rows(p, theta, etas, phis, cutoff):
-    batched = bell_function_operator_vs_p(theta, etas, phis, p, cutoff)
+    batched = bell_function_operator_vs_eta(theta, etas, phis, p, cutoff)
     for eta, value in zip(etas, batched):
         cfg = config(p, theta, eta, phis)
         assert abs(value - bell_function(cfg)) <= 1e-12
@@ -203,18 +203,15 @@ def test_sensitivity_rows_equal_single_epsilon_calls(p, theta, eta, phis, epsilo
 
 def test_rows_across_blocks_equal_single_calls():
     # 100 rows span many blocks: 9 rows each for the oracle at n_max = 20,
-    # 28 rows each for the sweep at the default cutoff, so 4 blocks. The
-    # oracle's grid varies eta, p, and both together.
+    # 28 rows each for the sweep at the default cutoff, so 4 blocks.
     phis = (0.1, 0.9, 1.7, 2.6)
     etas = np.linspace(-2.0, 2.0, 100)
-    ps = np.linspace(0.0, 1.0, 100)
-    for p_values, eta_values in ((0.4, etas), (ps, 0.7), (ps, etas)):
-        batched = bell_function_operator_vs_p(0.3, eta_values, phis, p_values, 20)
-        assert len(batched) == 100
-        assert all(
-            value == bell_function_operator(config(p, 0.3, eta, phis), 20)
-            for (p, eta), value in zip(np.broadcast(p_values, eta_values), batched)
-        )
+    batched = bell_function_operator_vs_eta(0.3, etas, phis, 0.4, 20)
+    assert len(batched) == 100
+    assert all(
+        value == bell_function_operator(config(0.4, 0.3, eta, phis), 20)
+        for eta, value in zip(etas, batched)
+    )
     cfg = ExperimentConfig(bell=config(0.4, 0.3, 0.7, phis), shots=1, seed=0)
     epsilons = np.linspace(-0.3, 0.3, 100)
     rows = timing_sensitivity(cfg, epsilons)
@@ -245,7 +242,7 @@ def test_fock_cutoff_is_inert(p1, p2, t1, t2, eta, phis, epsilons):
         results.append(
             np.concatenate(
                 [
-                    bell_function_operator_vs_p(t1, eta, phis, p1, cutoff),
+                    bell_function_operator_vs_eta(t1, eta, phis, p1, cutoff),
                     [
                         field_expectation_operator(params, 1, cutoff),
                         field_expectation_operator(params, 2, cutoff),
