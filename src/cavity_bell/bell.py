@@ -195,9 +195,11 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
         -1 + 8p(1-p) [ s1^2 + s2^2 - 8p(1-p) s1^2 s2^2
                        + eta/(1+eta^2) (4(1-2p)^2 s1^2 s2^2 + sin a1 sin a2) ]
 
-    with a_j the angle relative to theta and s_j = sin(a_j / 2).
+    with a_j the angle relative to theta and s_j = sin(a_j / 2). phi_a and
+    phi_b are checked and reduced as BellConfig's phi1 and phi2.
     """
-    return _correlations(config.p, config.theta, cross_weight(config.eta), ((phi_a, phi_b),))[0]
+    point = BellConfig(config.p, config.theta, config.eta, phi_a, phi_b, phi_a, phi_b)
+    return _correlations(point.p, point.theta, cross_weight(point.eta), point.settings[:1])[0]
 
 
 def _correlations(p, theta: float, weight, settings) -> list:
@@ -248,75 +250,58 @@ def bell_function_operator(config: BellConfig, n_max: int = DEFAULT_N_MAX) -> fl
     return float(s_b)
 
 
-def _bell_grid(p, eta, row_size: int, block_s_b) -> np.ndarray:
-    """S_B over a grid of (p, eta) points, filled as block_s_b(p, eta) per block.
-
-    p and eta are floats or 1-D vectors, broadcast to one length; a float
-    stays a stride-0 view, so no vector of it is made. The blocks are those
-    of blocks(count, row_size), and each is checked before block_s_b sees it.
-    """
-    p, eta = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in (p, eta)))
-    out = np.empty(len(p))
-    for block in blocks(len(out), row_size):
-        p_block, eta_block = p[block], eta[block]
-        if not np.all((p_block >= 0.0) & (p_block <= 1.0)):  # also refuses NaN
-            raise ValueError("p must lie in [0, 1] at every grid point")
-        with np.errstate(over="ignore"):
-            square = eta_block * eta_block
-        for bad, rule in ((~np.isfinite(eta_block), "be finite"),
-                          (~np.isfinite(square), "have a finite square")):
-            if np.any(bad):
-                raise ValueError(f"eta must {rule}, got {float(eta_block[bad][0])!r}")
-        out[block] = block_s_b(p_block, eta_block)
-    return out
-
-
 def bell_function_vs_p(
-    theta: float, eta, angles: tuple[float, float, float, float], p_values
+    theta: float, eta: float, angles: tuple[float, float, float, float], p_values
 ) -> np.ndarray:
-    """Closed-form S_B over a grid of (p, eta) points at fixed theta and angles.
+    """Closed-form S_B over a vector of p at one theta, eta and set of angles.
 
-    The closed form of bell_function runs on each block of points (see
-    _bell_grid), so the working arrays do not grow with the grid; the p
-    terms and the weight eta/(1+eta^2) are taken once per block, and the
-    angle terms do not depend on the point and stay scalars.
+    BellConfig checks theta, eta and the angles, and names the first p
+    outside [0, 1] as its own p. The closed form of bell_function then runs
+    on the whole vector: the p terms are vectors, and the weight
+    eta/(1+eta^2) and the angle terms stay floats. Callers pass one block of
+    p_grid at a time, so the vector stays small.
     """
-    config = BellConfig(0.5, theta, 0.0, *angles)  # checks theta and the angles
-    theta, settings = config.theta, config.settings
-
-    def block_s_b(p, eta):
-        return chsh(*_correlations(p, theta, cross_weight(eta), settings))
-
-    return _bell_grid(p_values, eta, 1, block_s_b)
+    config = BellConfig(0.5, theta, eta, *angles)  # checks theta, eta and the angles
+    ps = np.atleast_1d(np.asarray(p_values, dtype=float))
+    bad = ~((ps >= 0.0) & (ps <= 1.0))  # also catches NaN
+    if np.any(bad):
+        BellConfig(float(ps[bad][0]), theta, eta, *angles)
+    return chsh(*_correlations(ps, config.theta, cross_weight(config.eta), config.settings))
 
 
 def bell_function_operator_vs_eta(
     theta: float, eta, angles: tuple[float, float, float, float], p: float,
     n_max: int = DEFAULT_N_MAX,
 ) -> np.ndarray:
-    """Operator-oracle S_B over a grid of eta at one p, theta and set of angles.
+    """Operator-oracle S_B over a vector of eta at one p, theta and set of angles.
 
-    The state's two branches come from fields.entangled_branches once per
-    call; each block of points superposes them into one (block, d, d) stack
-    (fields.superpose), so a point's state has the bits of
-    entangled_gbs_state. Every correlation of a block is then one
+    BellConfig checks p, theta and the angles, and names the first eta that
+    is not finite or has no finite square as its own eta, before any eta is
+    squared. The state's two branches come from fields.entangled_branches
+    once per call; each block of blocks(count, d^2) superposes them into one
+    (block, d, d) stack (fields.superpose), so a point's state has the bits
+    of entangled_gbs_state. Every correlation of a block is then one
     dichotomic_pair_expectation call, one F pair for the whole block; the
     d^2 x d^2 joint operator is never formed. At the default cutoff 2500
     points take 2-4 ms (in-process, 2-vCPU VM).
     """
     config = BellConfig(p, theta, 0.0, *angles)  # checks p, theta and the angles
+    etas = np.atleast_1d(np.asarray(eta, dtype=float))
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(etas * etas)  # NaN, infinite or an overflowing square
+    if np.any(bad):
+        BellConfig(p, theta, float(etas[bad][0]), *angles)
     p, settings = config.p, config.settings
     state = GbsParams(p, config.theta)
     branches = entangled_branches(state, state, n_max)
-
-    def block_s_b(_, eta):
-        amplitudes = superpose(branches, eta)
+    out = np.empty(len(etas))
+    for block in blocks(len(etas), (n_max + 1) ** 2):
+        amplitudes = superpose(branches, etas[block])
         norms = np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
         if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
             raise ValueError("entangled state is not normalized")
-        return chsh(*(dichotomic_pair_expectation(amplitudes, p, a, b) for a, b in settings))
-
-    return _bell_grid(p, eta, (n_max + 1) ** 2, block_s_b)
+        out[block] = chsh(*(dichotomic_pair_expectation(amplitudes, p, a, b) for a, b in settings))
+    return out
 
 
 #: The Bell-test angle presets by name (constants.PRESETS): the angles

@@ -306,8 +306,21 @@ def test_closed_forms_match_operator_at_large_phase(theta):
         assert np.max(np.abs(s_b_operator - analytic_s_b(kind, degrees))) < 1e-12
     # settings given next to theta, far from zero, keep their offsets
     for offsets in ((0.0, 0.0, 0.0, 0.0), (0.1, math.pi / 4, -2.0, 3 * math.pi / 4)):
-        cfg = BellConfig(0.4, theta, 0.8, *(theta + offset for offset in offsets))
+        raw = [theta + offset for offset in offsets]
+        cfg = BellConfig(0.4, theta, 0.8, *raw)
         assert abs(bell_function(cfg) - bell_function_operator(cfg)) < 1e-12
+        # bell_correlation reduces raw angles as BellConfig does
+        for phi_a, phi_b in itertools.product(raw[::2], raw[1::2]):
+            operator = dense_correlation(cfg, phi_a, phi_b)
+            assert abs(bell_correlation(cfg, phi_a, phi_b) - operator) < 1e-12
+
+
+def test_bell_correlation_refuses_a_bad_angle():
+    cfg = preset_config("maximal", 0.7, p=0.3, theta=0.4)
+    with pytest.raises(ValueError, match="^phi1 must be finite, got nan$"):
+        bell_correlation(cfg, math.nan, 0.3)
+    with pytest.raises(ValueError, match="^phi2 must be finite, got -inf$"):
+        bell_correlation(cfg, 0.3, -math.inf)
 
 
 def test_point_equals_grid_value():
@@ -353,12 +366,50 @@ def test_scan_oracle_at_large_cutoff():
 def test_scan_oracle_refuses_bad_eta(eta):
     # 1e200 and -1e155 are finite but their squares overflow; the refusal
     # must come before norm_const squares them, so no warning is raised.
-    # Both routes name the first bad weight, as BellConfig does.
+    # Both routes name the bad weight, as BellConfig does: the oracle in its
+    # eta vector, the closed form as its one eta.
     rule = "be finite" if not math.isfinite(eta) else "have a finite square"
     message = f"^eta must {rule}, got {re.escape(repr(eta))}$"
-    for grid in (bell_function_operator_vs_eta, bell_function_vs_p):
-        with pytest.raises(ValueError, match=message):
-            grid(0.0, [0.5, eta], angle_preset("maximal"), 0.5)
+    with pytest.raises(ValueError, match=message):
+        bell_function_operator_vs_eta(0.0, [0.5, eta], angle_preset("maximal"), 0.5)
+    with pytest.raises(ValueError, match=message):
+        bell_function_vs_p(0.0, eta, angle_preset("maximal"), [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "ps, message",
+    (
+        ([0.5, 1.5, math.nan], "p must lie in [0, 1], got 1.5"),
+        ([0.2, math.nan, -0.1], "p must be finite, got nan"),
+        (-0.1, "p must lie in [0, 1], got -0.1"),
+    ),
+)
+def test_p_scan_names_the_first_bad_p(ps, message):
+    # BellConfig names the first bad point of the vector with its own message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bell_function_vs_p(0.0, 0.5, angle_preset("maximal"), ps)
+
+
+def test_scan_oracle_names_the_first_bad_eta_before_any_block(monkeypatch):
+    # the whole eta vector is checked before superpose squares any of it,
+    # even where the bad point lies blocks after the first
+    from cavity_bell import bell
+
+    calls, superpose = [], bell.superpose
+
+    def counted(*args):
+        calls.append(args)
+        return superpose(*args)
+
+    monkeypatch.setattr(bell, "superpose", counted)
+    angles = angle_preset("maximal")
+    with pytest.raises(ValueError, match=r"^eta must have a finite square, got 1e\+200$"):
+        bell_function_operator_vs_eta(0.0, [0.5, 1e200, math.nan], angles, 0.5)
+    with pytest.raises(ValueError, match="^eta must be finite, got nan$"):
+        bell_function_operator_vs_eta(0.0, [0.5] * 1000 + [math.nan], angles, 0.5)
+    assert calls == []
+    bell_function_operator_vs_eta(0.0, [0.5] * 1000, angles, 0.5)
+    assert len(calls) == 3  # blocks of 455 points at the default cutoff
 
 
 @pytest.mark.parametrize("cutoff", (1, 2, 3, 4))
@@ -384,7 +435,7 @@ def test_oracle_matches_closed_form_at_every_cutoff():
             p, theta = float(rng.uniform()), float(rng.uniform(-4.0, 4.0))
             angles = tuple(rng.uniform(-math.pi, math.pi, 4))
             oracle = bell_function_operator_vs_eta(theta, etas, angles, p, cutoff)
-            closed = bell_function_vs_p(theta, etas, angles, p)
+            closed = np.concatenate([bell_function_vs_p(theta, eta, angles, p) for eta in etas])
             assert np.max(np.abs(oracle - closed)) <= 1e-12
 
 
@@ -416,9 +467,9 @@ def test_p_scan_oracle_matches_closed_form(kind):
             oracle = np.array([bell_function_operator_vs_eta(theta, etas, angles, p) for p in ps])
             assert np.max(np.abs(closed - oracle.T)) < 1e-12
         etas = np.linspace(-2.0, 2.0, len(ps))
-        closed = bell_function_vs_p(theta, etas, angles, ps)
+        closed = [bell_function_vs_p(theta, eta, angles, p) for p, eta in zip(ps, etas)]
         oracle = [bell_function_operator_vs_eta(theta, eta, angles, p) for p, eta in zip(ps, etas)]
-        assert np.max(np.abs(closed - np.concatenate(oracle))) < 1e-12
+        assert np.max(np.abs(np.concatenate(closed) - np.concatenate(oracle))) < 1e-12
 
 
 @pytest.mark.parametrize("g", (0.1, 0.2, 0.3, 1.0 / 3.0, 0.8, 1.0))
