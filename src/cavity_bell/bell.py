@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .binomial import GbsParams, gbs_state, orthogonal_partner, reduce_angle, set_state_fields
+from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, reduce_angle
 from .constants import MAX_GRID_POINTS, PRESETS
 from .fields import EntangledGbsParams, cross_weight, entangled_branches, superpose
 from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, pair_expectation
@@ -74,7 +74,9 @@ class BellConfig(Frozen):
     phi2_prime: float
 
     def __post_init__(self):
-        set_state_fields(self, ("p",), ("theta", "phi1", "phi2", "phi1_prime", "phi2_prime"))
+        check_fields(zip(self._fields, self._values()), ("p",))
+        for name in ("theta", "phi1", "phi2", "phi1_prime", "phi2_prime"):
+            object.__setattr__(self, name, reduce_angle(getattr(self, name)))
 
     @property
     def settings(self) -> tuple[tuple[float, float], ...]:
@@ -134,11 +136,7 @@ def dichotomic_operator(d: GbsParams, n_max: int = DEFAULT_N_MAX) -> FieldOperat
 
 def dichotomic_gbs_matrix(p: float, phi: float, phi_prime: float) -> GbsBasisMatrix:
     """Matrix elements of F_p(phi') in the basis pair defined at phase phi."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    for name, value in (("phi", phi), ("phi_prime", phi_prime)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    check_fields((("p", p), ("phi", phi), ("phi_prime", phi_prime)), ("p",))
     delta = phi_prime - phi
     half = math.sin(0.5 * delta) ** 2
     f11 = 1.0 - 8.0 * p * (1.0 - p) * half
@@ -154,11 +152,10 @@ def dichotomic_eigenstates(
     """Eigenstates (plus, minus) of F_p(phi') for eigenvalues +1 and -1.
 
     F_p(phi') is built to assign +1 to |p, phi'> and -1 to its orthogonal
-    partner, so those are the pair, whatever the basis phase phi. phi is
-    checked as dichotomic_gbs_matrix, which writes F_p(phi') in that basis,
-    checks it.
+    partner, so those are the pair, whatever the basis phase phi; phi is
+    checked all the same, as dichotomic_gbs_matrix checks it.
     """
-    dichotomic_gbs_matrix(p, phi, phi_prime)
+    check_fields((("p", p), ("phi", phi), ("phi_prime", phi_prime)), ("p",))
     base = GbsParams(p, phi_prime)
     return gbs_state(base, n_max), gbs_state(orthogonal_partner(base), n_max)
 
@@ -168,10 +165,13 @@ def degree_of_entanglement(eta: float) -> float:
     return 2.0 * abs(cross_weight(eta))
 
 
-def _require_degree(g) -> None:
-    degrees = np.asarray(g)
-    if not np.all((degrees >= 0.0) & (degrees <= 1.0)):  # also refuses NaN
-        raise ValueError(f"degree of entanglement must lie in [0, 1], got {g!r}")
+def _require_unit(name: str, values) -> None:
+    # check_fields names the first of the values (a float or an array)
+    # outside [0, 1], NaN included
+    values = np.ravel(values)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if np.any(bad):
+        check_fields(((name, float(values[bad][0])),), (name,))
 
 
 def eta_for_degree(g):
@@ -181,7 +181,7 @@ def eta_for_degree(g):
     other root is its reciprocal and describes the same amount of
     entanglement. g may be a float or an array; G = 0 gives eta = 0.
     """
-    _require_degree(g)
+    _require_unit("degree of entanglement", g)
     degrees = np.asarray(g, dtype=float)
     eta = (1.0 - np.sqrt(1.0 - degrees * degrees)) / np.where(degrees == 0.0, 1.0, degrees)
     return eta if eta.ndim else float(eta)
@@ -255,17 +255,15 @@ def bell_function_vs_p(
 ) -> np.ndarray:
     """Closed-form S_B over a vector of p at one theta, eta and set of angles.
 
-    BellConfig checks theta, eta and the angles, and names the first p
-    outside [0, 1] as its own p. The closed form of bell_function then runs
+    BellConfig checks theta, eta and the angles, and check_fields names the
+    first p outside [0, 1]. The closed form of bell_function then runs
     on the whole vector: the p terms are vectors, and the weight
     eta/(1+eta^2) and the angle terms stay floats. Callers pass one block of
     p_grid at a time, so the vector stays small.
     """
     config = BellConfig(0.5, theta, eta, *angles)  # checks theta, eta and the angles
     ps = np.atleast_1d(np.asarray(p_values, dtype=float))
-    bad = ~((ps >= 0.0) & (ps <= 1.0))  # also catches NaN
-    if np.any(bad):
-        BellConfig(float(ps[bad][0]), theta, eta, *angles)
+    _require_unit("p", ps)
     return chsh(*_correlations(ps, config.theta, cross_weight(config.eta), config.settings))
 
 
@@ -275,8 +273,8 @@ def bell_function_operator_vs_eta(
 ) -> np.ndarray:
     """Operator-oracle S_B over a vector of eta at one p, theta and set of angles.
 
-    BellConfig checks p, theta and the angles, and names the first eta that
-    is not finite or has no finite square as its own eta, before any eta is
+    BellConfig checks p, theta and the angles, and check_fields names the
+    first eta that is not finite or has no finite square, before any eta is
     squared. The state's two branches come from fields.entangled_branches
     once per call; each block of blocks(count, d^2) superposes them into one
     (block, d, d) stack (fields.superpose), so a point's state has the bits
@@ -290,7 +288,7 @@ def bell_function_operator_vs_eta(
     with np.errstate(over="ignore"):
         bad = ~np.isfinite(etas * etas)  # NaN, infinite or an overflowing square
     if np.any(bad):
-        BellConfig(p, theta, float(etas[bad][0]), *angles)
+        check_fields((("eta", float(etas[bad][0])),))
     p, settings = config.p, config.settings
     state = GbsParams(p, config.theta)
     branches = entangled_branches(state, state, n_max)
@@ -338,14 +336,13 @@ def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[
     becomes the sign a table row takes, -1 below zero and +1 otherwise
     (-0.0 and NaN included).
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    check_fields((("theta", theta),))
     return _preset(kind)["angles"](reduce_angle(theta), -1.0 if eta_sign < 0.0 else 1.0)
 
 
 def analytic_s_b(kind: str, g):
     """Preset Bell value as a function of the degree of entanglement (a float or an array)."""
-    _require_degree(g)
+    _require_unit("degree of entanglement", g)
     return _preset(kind)["s_b"](g)
 
 

@@ -46,34 +46,21 @@ def reduce_angle(x: float) -> float:
     return x if abs(x) <= math.tau else wrap_angle(x)
 
 
-def set_state_fields(params, probabilities: tuple[str, ...], angles: tuple[str, ...]) -> None:
-    """Check BellConfig's or EntangledGbsParams' fields in order, then store the angles reduced.
+def check_fields(fields, probabilities: tuple[str, ...] = ()) -> None:
+    """Refuse the first (name, value) pair of ``fields`` that breaks the one scalar rule.
 
-    Each field must be finite, eta have a finite square and each probability lie in [0, 1].
+    Each value must be finite, eta have a finite square and each value named
+    in probabilities lie in [0, 1]. The message names the pair, as in
+    "p must lie in [0, 1], got 1.5"; every value type and kernel refuses a
+    scalar through this function.
     """
-    for name in params._fields:
-        value = getattr(params, name)
+    for name, value in fields:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
         if name == "eta" and not math.isfinite(value * value):
             raise ValueError(f"eta must have a finite square, got {value!r}")
         if name in probabilities and not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    for name in angles:
-        object.__setattr__(params, name, reduce_angle(getattr(params, name)))
-
-
-def _set_p_phi(params) -> None:
-    """Check and store the (p, phi) pair of BinomialParams or GbsParams.
-
-    p must lie in [0, 1] and phi be finite; phi is stored wrapped to (-pi, pi].
-    """
-    if not 0.0 <= params.p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {params.p!r}")
-    if not math.isfinite(params.phi):
-        raise ValueError(f"phi must be finite, got {params.phi!r}")
-    object.__setattr__(params, "p", float(params.p))
-    object.__setattr__(params, "phi", wrap_angle(params.phi))
 
 
 class BinomialParams(Frozen):
@@ -91,7 +78,7 @@ class BinomialParams(Frozen):
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
-        _set_p_phi(self)
+        GbsParams.__post_init__(self)  # p and phi are checked and stored as GbsParams' own
         object.__setattr__(self, "n", int(self.n))
 
 
@@ -105,7 +92,9 @@ class GbsParams(Frozen):
     phi: float
 
     def __post_init__(self):
-        _set_p_phi(self)
+        check_fields((("p", self.p), ("phi", self.phi)), ("p",))
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "phi", wrap_angle(self.phi))
 
     def as_binomial(self) -> BinomialParams:
         return BinomialParams(1, self.p, self.phi)

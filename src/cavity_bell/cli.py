@@ -57,35 +57,38 @@ def parse_angle(text: str) -> float:
     return float(t)
 
 
-def _grid_spec(text: str) -> tuple[float, float, int]:
-    """Check "start:stop:step" and return start, step and the number of points."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid spec must be start:stop:step, got {text!r}")
-    start, stop, step = (float(part) for part in parts)
+def _grid_spec(name: str, text: str) -> tuple[float, float, int]:
+    """Check option ``name``'s "start:stop:step"; return start, step and the point count."""
+    try:
+        start, stop, step = map(float, text.split(":"))
+    except ValueError:  # not three parts, or one that is not a number
+        raise ValueError(f"{name} spec must be start:stop:step, got {text!r}") from None
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"grid spec must be finite, got {text!r}")
+        raise ValueError(f"{name} spec must be finite, got {text!r}")
     if step <= 0.0:
-        raise ValueError("grid step must be positive")
+        raise ValueError(f"{name} step must be positive")
     if stop < start:
-        raise ValueError("grid stop must not be below start")
+        raise ValueError(f"{name} stop must not be below start")
     if not (stop - start) / step + 1.0 <= MAX_GRID_POINTS:
-        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"{name} {text!r} has more than {MAX_GRID_POINTS} points")
     return start, step, int(math.floor((stop - start) / step + 1e-9)) + 1
 
 
 def parse_value_list(text: str):
-    """Parse a grid spec or a comma list of floats into blocks of values.
+    """Parse --epsilons, a grid spec or a comma list of floats, into blocks of values.
 
     A grid yields its inclusive points per block of bell.grid_blocks.
     """
     if ":" in text:
         from .bell import grid_blocks
 
-        return grid_blocks(*_grid_spec(text))
-    values = [float(part) for part in text.split(",") if part.strip()]
+        return grid_blocks(*_grid_spec("epsilons", text))
+    try:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"epsilons must be numbers, got {text!r}") from None
     if not values:
-        raise ValueError(f"no values in {text!r}")
+        raise ValueError(f"epsilons has no values in {text!r}")
     return [values]  # one block: the list is no longer than its text
 
 
@@ -201,7 +204,7 @@ def cmd_scan(args) -> int:
     from .bell import (analytic_s_b, angle_preset, bell_function_operator_vs_eta, eta_for_degree,
                        grid_blocks)
 
-    start, step, count = _grid_spec(args.grid)
+    start, step, count = _grid_spec("grid", args.grid)
     if start < -1e-9 or (count - 1) * step + start > 1.0 + 1e-9:  # the first and last points
         raise ValueError("G grid must lie within [0, 1]")
     angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .bell import BellConfig, blocks, chsh
-from .binomial import GbsParams
+from .binomial import GbsParams, check_fields
 from .fields import EntangledGbsParams, entangled_gbs_state, norm_const
 from .fock import DEFAULT_N_MAX, Frozen, RandomStream, StateVector, TwoCavityState, braket
 
@@ -232,9 +232,7 @@ class ExperimentConfig(Frozen):
             raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots!r}")
         if not 0 <= int(self.seed) < 2**64:  # RandomStream keys on 64 bits
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
-        if not 0.0 <= self.detector_efficiency <= 1.0:
-            raise ValueError(
-                f"detector efficiency must lie in [0, 1], got {self.detector_efficiency!r}")
+        check_fields((("detector_efficiency", self.detector_efficiency),), ("detector_efficiency",))
 
 
 class SettingEstimate(Frozen):
@@ -446,8 +444,7 @@ def detection_threshold_check(alpha: float) -> DetectionReport:
     about 0.8284. Below that, discarded non-coincidences could in principle
     hide a local model.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_fields((("alpha", alpha),), ("alpha",))
     return DetectionReport(
         alpha=alpha,
         alpha_threshold=ALPHA_THRESHOLD,

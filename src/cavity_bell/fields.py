@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .binomial import GbsParams, gbs_state, orthogonal_partner, set_state_fields
+from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, reduce_angle
 from .fock import (
     DEFAULT_N_MAX, Frozen, TwoCavityState, identity, pair_expectation, quadrature, tensor,
 )
@@ -41,7 +41,9 @@ class EntangledGbsParams(Frozen):
     eta: float
 
     def __post_init__(self):
-        set_state_fields(self, ("p1", "p2"), ("theta1", "theta2"))
+        check_fields(zip(self._fields, self._values()), ("p1", "p2"))
+        for name in ("theta1", "theta2"):
+            object.__setattr__(self, name, reduce_angle(getattr(self, name)))
 
 
 def norm_const(eta):

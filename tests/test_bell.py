@@ -32,8 +32,9 @@ from cavity_bell.bell import (
     preset_config,
     violation_threshold,
 )
-from cavity_bell.binomial import GbsParams, gbs_state, orthogonal_partner
+from cavity_bell.binomial import BinomialParams, GbsParams, gbs_state, orthogonal_partner
 from cavity_bell.constants import PRESETS
+from cavity_bell.dynamics import ExperimentConfig, detection_threshold_check
 from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
 from cavity_bell.fock import StateVector, expectation, inner, joint
 
@@ -385,7 +386,7 @@ def test_scan_oracle_refuses_bad_eta(eta):
     ),
 )
 def test_p_scan_names_the_first_bad_p(ps, message):
-    # BellConfig names the first bad point of the vector with its own message
+    # check_fields names the first bad point of the vector with BellConfig's message
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         bell_function_vs_p(0.0, 0.5, angle_preset("maximal"), ps)
 
@@ -504,6 +505,25 @@ def test_analytic_s_b_values_and_thresholds():
         analytic_s_b("maximal", 1.5)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    (
+        ((1.5, math.nan), "degree of entanglement must lie in [0, 1], got 1.5"),
+        ((math.nan, -0.5), "degree of entanglement must be finite, got nan"),
+        ((-math.inf, 2.0), "degree of entanglement must be finite, got -inf"),
+    ),
+)
+def test_degree_refusal_names_the_first_bad_point(bad, message):
+    # one line with the first bad G, not the repr of the whole block
+    degrees = np.linspace(0.0, 1.0, 4096)
+    degrees[[1000, 3000]] = bad
+    for call in (lambda g: analytic_s_b("maximal", g), eta_for_degree):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(degrees)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad[0])
+
+
 def test_preset_table_holds_the_parsers_choices():
     assert tuple(PRESET_TABLE) == PRESETS
     calls = (
@@ -522,15 +542,30 @@ BELL_FIELDS = {
     "p": 0.4, "theta": 0.1, "eta": 0.7, "phi1": 0.2, "phi2": 0.3, "phi1_prime": 1.4, "phi2_prime": 2.5,
 }
 STATE_FIELDS = {"p1": 0.3, "p2": 0.6, "theta1": 0.1, "theta2": 0.2, "eta": -0.7}
+BASIS_FIELDS = {"p": 0.4, "phi": 0.3, "phi_prime": 1.2}
+#: Every value type and function that refuses a scalar through check_fields,
+#: with good arguments; each float among them is one field to fault.
+CHECKED = (
+    (BellConfig, BELL_FIELDS),
+    (EntangledGbsParams, STATE_FIELDS),
+    (GbsParams, {"p": 0.4, "phi": 0.3}),
+    (BinomialParams, {"n": 2, "p": 0.4, "phi": 0.3}),
+    (dichotomic_gbs_matrix, BASIS_FIELDS),
+    (dichotomic_eigenstates, BASIS_FIELDS),
+    (angle_preset, {"kind": "maximal", "theta": 0.3}),
+    (detection_threshold_check, {"alpha": 0.9}),
+    (ExperimentConfig, {"bell": preset_config("maximal", 1.0), "shots": 10, "seed": 3,
+                        "detector_efficiency": 0.9}),
+)
 
 
 def one_fault_cases():
-    for cls, fields in ((BellConfig, BELL_FIELDS), (EntangledGbsParams, STATE_FIELDS)):
-        for name in fields:
+    for cls, fields in CHECKED:
+        for name in (name for name, value in fields.items() if isinstance(value, float)):
             faults = [(bad, "must be finite") for bad in ("nan", "inf", "-inf")]
             if name == "eta":
                 faults += [(bad, "must have a finite square") for bad in ("1e+155", "-1e+200")]
-            if name in ("p", "p1", "p2"):
+            if name in ("p", "p1", "p2", "alpha", "detector_efficiency"):
                 faults += [(bad, "must lie in [0, 1]") for bad in ("-0.1", "1.5", "1.0000000000000002")]
             for bad, rule in faults:
                 yield pytest.param(

@@ -308,6 +308,11 @@ def test_error_exit_codes(tmp_path, capsys):
         (["simulate", "maximal", "--alpha", "1.5"], "alpha"),
         (["simulate", "maximal", "--alpha", "nan"], "alpha"),
         (["simulate", "maximal", "--alpha=-0.1"], "alpha"),
+        # grid specs and value lists that do not parse name their option
+        (["sensitivity", "maximal", "--epsilons=abc"], "epsilons"),
+        (["sensitivity", "maximal", "--epsilons="], "epsilons"),
+        (["sensitivity", "maximal", "--epsilons=0:0.1"], "epsilons"),
+        (["scan", "maximal", "--grid", "0:1:abc"], "grid"),
     ]
     for argv, field in [(argv, "") for argv in failing] + named:
         assert main(argv + ["--out", str(out)]) == 1, argv

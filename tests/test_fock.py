@@ -95,7 +95,7 @@ def test_value_types_bind_arguments_like_a_dataclass():
     assert ExperimentConfig(seed=3, bell=cfg, shots=10, detector_efficiency=0.25) == (
         ExperimentConfig(cfg, 10, 3, 0.25)
     )
-    with pytest.raises(ValueError, match="detector efficiency"):
+    with pytest.raises(ValueError, match=r"^detector_efficiency must lie in \[0, 1\], got 1.5$"):
         ExperimentConfig(cfg, 10, 3, detector_efficiency=1.5)
     with pytest.raises(TypeError, match="^ExperimentConfig is missing argument 'seed'$"):
         ExperimentConfig(cfg, 10)

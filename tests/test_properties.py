@@ -6,14 +6,18 @@ batch with the same call made for that row alone.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cavity_bell import bell as bell_module
 from cavity_bell.bell import (
     BellConfig,
+    analytic_s_b,
     bell_correlation,
     bell_function,
     bell_function_operator,
@@ -22,6 +26,7 @@ from cavity_bell.bell import (
     degree_of_entanglement,
     dichotomic_operator,
     dichotomic_pair_expectation,
+    eta_for_degree,
 )
 from cavity_bell.binomial import GbsParams
 from cavity_bell.dynamics import (
@@ -255,3 +260,52 @@ def test_fock_cutoff_is_inert(p1, p2, t1, t2, eta, phis, epsilons):
         )
     for result in results[1:]:
         assert np.max(np.abs(result - results[0])) <= 1e-14
+
+
+def outside(low, high, closed=False):
+    """NaN, the infinities and finite floats below low or above high.
+
+    The ends themselves are outside too when closed is set.
+    """
+    return st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats(max_value=low, exclude_max=not closed, allow_infinity=False),
+        st.floats(min_value=high, exclude_min=not closed, allow_infinity=False),
+    )
+
+
+PHIS = (0.1, 0.9, 1.7, 2.6)
+SWEEP = ExperimentConfig(bell=config(0.4, 0.3, 0.7, PHIS), shots=1, seed=0)
+#: Each vector kernel: the call, its good points and its bad ones.
+PLANTED = {
+    "bell_function_vs_p": (
+        lambda ps: bell_function_vs_p(0.3, 0.7, PHIS, ps), probability, outside(0.0, 1.0)
+    ),
+    "bell_function_operator_vs_eta": (  # an eta past 1.35e154 has no finite square
+        lambda etas: bell_function_operator_vs_eta(0.3, etas, PHIS, 0.4), weight,
+        outside(-1.35e154, 1.35e154, closed=True),
+    ),
+    "timing_sensitivity": (
+        lambda epsilons: timing_sensitivity(SWEEP, epsilons), st.floats(-0.45, 0.45),
+        outside(-0.5, 0.5, closed=True),
+    ),
+    "analytic_s_b": (lambda gs: analytic_s_b("maximal", gs), probability, outside(0.0, 1.0)),
+    "eta_for_degree": (eta_for_degree, probability, outside(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(PLANTED))
+@SETTINGS
+@given(data=st.data())
+def test_a_planted_bad_point_is_named_on_one_line(kernel, data):
+    # one bad point anywhere in a vector of at least two blocks of 16 is
+    # named by its repr in a one-line refusal
+    call, good, bad = PLANTED[kernel]
+    values = data.draw(st.lists(good, min_size=17, max_size=64))
+    value = data.draw(bad)
+    values[data.draw(st.integers(0, len(values) - 1))] = value
+    with mock.patch.object(bell_module, "BLOCK_AMPLITUDES", 16):
+        with pytest.raises(ValueError) as info:
+            call(np.array(values))
+    message = str(info.value)
+    assert "\n" not in message and message.endswith(f", got {value!r}"), message
