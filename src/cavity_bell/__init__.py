@@ -33,13 +33,11 @@ _EXPORTS = {
         "generate_entangled_gbs", "probe_measure", "run_bell_experiment", "timing_sensitivity",
     ),
     "fields": (
-        "EntangledGbsParams", "FieldStats", "entangled_gbs_state", "field_correlation",
-        "field_covariance", "field_expectation",
+        "EntangledGbsParams", "FieldStats", "entangled_gbs_state", "field_covariance",
     ),
     "fock": (
         "FieldOperator", "RandomStream", "StateVector", "TwoCavityState", "annihilation",
-        "creation", "expectation", "fidelity", "inner", "number_operator", "quadrature",
-        "tensor",
+        "creation", "expectation", "fidelity", "inner", "quadrature", "tensor",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

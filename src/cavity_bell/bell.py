@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, reduce_angle
+from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, wrap_angle
 from .constants import MAX_GRID_POINTS, PRESETS
 from .fields import EntangledGbsParams, cross_weight, entangled_branches, superpose
 from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, pair_expectation
@@ -62,7 +62,7 @@ class BellConfig(Frozen):
     p and theta select the measured basis family and the state phase, eta
     the entanglement weight, and the four angles are the two settings per
     cavity entering the CHSH combination. All five angles are stored
-    through reduce_angle, like the state phases of EntangledGbsParams.
+    wrapped to (-pi, pi] (wrap_angle), like every angle the package keeps.
     """
 
     p: float
@@ -76,7 +76,7 @@ class BellConfig(Frozen):
     def __post_init__(self):
         check_fields(zip(self._fields, self._values()), ("p",))
         for name in ("theta", "phi1", "phi2", "phi1_prime", "phi2_prime"):
-            object.__setattr__(self, name, reduce_angle(getattr(self, name)))
+            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
     @property
     def settings(self) -> tuple[tuple[float, float], ...]:
@@ -196,7 +196,7 @@ def bell_correlation(config: BellConfig, phi_a: float, phi_b: float) -> float:
                        + eta/(1+eta^2) (4(1-2p)^2 s1^2 s2^2 + sin a1 sin a2) ]
 
     with a_j the angle relative to theta and s_j = sin(a_j / 2). phi_a and
-    phi_b are checked and reduced as BellConfig's phi1 and phi2.
+    phi_b are checked and wrapped as BellConfig's phi1 and phi2.
     """
     point = BellConfig(config.p, config.theta, config.eta, phi_a, phi_b, phi_a, phi_b)
     return _correlations(point.p, point.theta, cross_weight(point.eta), point.settings[:1])[0]
@@ -280,8 +280,7 @@ def bell_function_operator_vs_eta(
     (block, d, d) stack (fields.superpose), so a point's state has the bits
     of entangled_gbs_state. Every correlation of a block is then one
     dichotomic_pair_expectation call, one F pair for the whole block; the
-    d^2 x d^2 joint operator is never formed. At the default cutoff 2500
-    points take 2-4 ms (in-process, 2-vCPU VM).
+    d^2 x d^2 joint operator is never formed.
     """
     config = BellConfig(p, theta, 0.0, *angles)  # checks p, theta and the angles
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -330,14 +329,14 @@ def _preset(kind: str) -> dict:
 def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[float, float, float, float]:
     """Preset angles (phi1, phi2, phi1', phi2') for the Bell test (see PRESET_TABLE).
 
-    The angles start at reduce_angle(theta), the phase BellConfig keeps,
+    The angles start at wrap_angle(theta), the phase BellConfig keeps,
     so no offset is lost to rounding at large |theta|. eta_sign is eta
     itself, or any number of its sign: this is the one place where eta
     becomes the sign a table row takes, -1 below zero and +1 otherwise
     (-0.0 and NaN included).
     """
     check_fields((("theta", theta),))
-    return _preset(kind)["angles"](reduce_angle(theta), -1.0 if eta_sign < 0.0 else 1.0)
+    return _preset(kind)["angles"](wrap_angle(theta), -1.0 if eta_sign < 0.0 else 1.0)
 
 
 def analytic_s_b(kind: str, g):

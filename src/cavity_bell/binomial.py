@@ -27,23 +27,15 @@ _MAX_TRIALS = 64
 
 
 def wrap_angle(x: float) -> float:
-    """Reduce an angle to the canonical interval (-pi, pi]."""
+    """Reduce an angle to the canonical interval (-pi, pi].
+
+    The package's one angle rule: every value type stores its angles through
+    it, so the closed forms and the states see one float angle.
+    """
     w = math.remainder(float(x), math.tau)
     if w <= -math.pi:
         w += math.tau
     return w
-
-
-def reduce_angle(x: float) -> float:
-    """``x`` itself within one turn of zero, else ``wrap_angle(x)``.
-
-    Closed forms take sin and cos of the float x, reduced exactly; the
-    Bernoulli states carry wrap_angle(x), reduced with the float 2 pi. The
-    two drift apart by about |x| * 2.4e-16 rad, so state and setting angles
-    beyond a turn are wrapped before either route sees them. Within a turn
-    the drift is rounding, and x is kept as given.
-    """
-    return x if abs(x) <= math.tau else wrap_angle(x)
 
 
 def check_fields(fields, probabilities: tuple[str, ...] = ()) -> None:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, reduce_angle
+from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, wrap_angle
 from .fock import (
     DEFAULT_N_MAX, Frozen, TwoCavityState, identity, pair_expectation, quadrature, tensor,
 )
@@ -30,8 +30,8 @@ class EntangledGbsParams(Frozen):
 
     eta is any real number with a finite square, including negative
     values; only eta^2 enters the normalization. theta1 and theta2 are
-    stored through reduce_angle, so the closed forms and the states see
-    one phase however large the input.
+    stored wrapped to (-pi, pi] (wrap_angle), so the closed forms and the
+    states see one phase however large the input.
     """
 
     p1: float
@@ -43,7 +43,7 @@ class EntangledGbsParams(Frozen):
     def __post_init__(self):
         check_fields(zip(self._fields, self._values()), ("p1", "p2"))
         for name in ("theta1", "theta2"):
-            object.__setattr__(self, name, reduce_angle(getattr(self, name)))
+            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
 
 def norm_const(eta):
@@ -138,19 +138,6 @@ def field_covariance(params: EntangledGbsParams) -> FieldStats:
         e1e2=2.0 * (mixed - h * c1 * c2),
         covariance=2.0 * (mixed - (1.0 - damping**2) * h * c1 * c2),
     )
-
-
-def field_expectation(params: EntangledGbsParams, cavity: int) -> float:
-    """Mean field <E_j> in cavity 1 or 2 (see field_covariance)."""
-    if cavity not in (1, 2):
-        raise ValueError(f"cavity must be 1 or 2, got {cavity!r}")
-    stats = field_covariance(params)
-    return stats.e1 if cavity == 1 else stats.e2
-
-
-def field_correlation(params: EntangledGbsParams) -> float:
-    """Two-cavity correlation <E_1 E_2> (see field_covariance)."""
-    return field_covariance(params).e1e2
 
 
 def field_expectation_operator(

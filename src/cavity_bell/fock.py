@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import DEFAULT_N_MAX
 
-NORM_TOL = 1e-12   # analytic identities (norms, hermiticity)
+NORM_TOL = 1e-12   # analytic identities (norms)
 
 
 class Frozen:
@@ -166,9 +166,6 @@ class FieldOperator(Frozen):
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_hermitian(self, tol: float = NORM_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
 
 def annihilation(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
     """Photon annihilation operator a on levels 0..n_max."""
@@ -178,10 +175,6 @@ def annihilation(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
 def creation(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
     """Photon creation operator a-dagger on levels 0..n_max."""
     return FieldOperator(np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=-1))
-
-
-def number_operator(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
-    return FieldOperator(np.diag(np.arange(n_max + 1, dtype=float)))
 
 
 def quadrature(n_max: int = DEFAULT_N_MAX) -> FieldOperator:

@@ -5,6 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from cavity_bell.bell import (
+    BellConfig,
+    angle_preset,
+    bell_function,
+    bell_function_operator,
+    preset_config,
+)
 from cavity_bell.binomial import (
     BinomialParams,
     GbsParams,
@@ -12,8 +19,14 @@ from cavity_bell.binomial import (
     binomial_state,
     gbs_state,
     orthogonal_partner,
-    reduce_angle,
     wrap_angle,
+)
+from cavity_bell.constants import PRESETS
+from cavity_bell.fields import (
+    EntangledGbsParams,
+    field_correlation_operator,
+    field_covariance,
+    field_expectation_operator,
 )
 from cavity_bell.fock import inner
 
@@ -29,11 +42,31 @@ def test_wrap_angle_range():
     assert wrap_angle(3 * math.pi) == math.pi
 
 
-def test_reduce_angle_keeps_angles_within_a_turn():
-    for x in (-2 * math.pi, -math.pi, 0.0, 0.7, 1.75 * math.pi, 2 * math.pi):
-        assert reduce_angle(x) == x
-    for x in (2 * math.pi + 1e-9, -7.0, 1e13, 1e17, -3e16):
-        assert reduce_angle(x) == wrap_angle(x)
+def test_every_stored_angle_is_wrapped():
+    # one rule for every angle the package keeps, within a turn and beyond it
+    for x in (-2 * math.pi, -math.pi, 0.0, 0.7, 1.75 * math.pi, 2 * math.pi,
+              2 * math.pi + 1e-9, -7.0, 4.0, 9.5, -20.0, 1e13, 1e17, -3e16):
+        w = wrap_angle(x)
+        config = BellConfig(0.5, x, 1.0, x, x, x, x)
+        stored = (config.theta, config.phi1, config.phi2, config.phi1_prime, config.phi2_prime)
+        assert stored == (w,) * 5
+        state = EntangledGbsParams(p1=0.3, p2=0.8, theta1=x, theta2=x, eta=0.7)
+        assert (state.theta1, state.theta2) == (w, w)
+        for kind in PRESETS:
+            angles = angle_preset(kind, x, -1.0)
+            assert angles[0] == w and angles == angle_preset(kind, w, -1.0)
+    # in (pi, 2 pi] and its mirror the wrap moves an angle by a turn; the routes agree there
+    for theta in (1.5 * math.pi, 1.75 * math.pi, -1.5 * math.pi, 4.0):
+        for kind in PRESETS:
+            for p, eta in ((0.5, 1.0), (0.3, -0.7)):
+                config = preset_config(kind, eta, p=p, theta=theta)
+                assert abs(bell_function(config) - bell_function_operator(config)) <= 1e-12
+        for theta1, theta2 in ((theta, 0.4), (-1.1, theta), (theta, theta)):
+            params = EntangledGbsParams(p1=0.3, p2=0.8, theta1=theta1, theta2=theta2, eta=0.7)
+            stats = field_covariance(params)
+            assert abs(stats.e1 - field_expectation_operator(params, 1)) <= 1e-12
+            assert abs(stats.e2 - field_expectation_operator(params, 2)) <= 1e-12
+            assert abs(stats.e1e2 - field_correlation_operator(params)) <= 1e-12
 
 
 def test_binomial_amplitudes_match_definition():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -330,6 +331,24 @@ def test_error_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as usage:
             main(command + ["--n-max", "2", "--out", str(out)])
         assert usage.value.code == 2
+
+
+def readme_command_lines():
+    """The cavity-bell lines of README's "Command line" block, as argv lists."""
+    text = read(Path(__file__).parents[1] / "README.md")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cavity-bell ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    lines = readme_command_lines()
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv) == 0, argv
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert out.stat().st_size > 0 and (tmp_path / f"{out.name}.manifest").is_file()
+    assert capsys.readouterr().err == ""
 
 
 def test_help_offers_no_cutoff(capsys):

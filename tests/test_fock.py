@@ -23,7 +23,6 @@ from cavity_bell.fock import (
     identity,
     inner,
     joint,
-    number_operator,
     quadrature,
     tensor,
 )
@@ -134,13 +133,12 @@ def test_ladder_operators():
         out = a @ vec
         assert math.isclose(out[n - 1].real, math.sqrt(n), abs_tol=1e-14)
     # number operator from the ladder pair, up to the truncation corner
-    num = number_operator(3).matrix
-    assert np.allclose(adag @ a, num)
+    assert np.allclose(adag @ a, np.diag(np.arange(4.0)))
 
 
 def test_quadrature_hermitian():
     e = quadrature(4)
-    assert e.is_hermitian()
+    assert np.max(np.abs(e.matrix - e.matrix.conj().T)) <= 1e-12
     assert np.allclose(e.matrix, annihilation(4).matrix + creation(4).matrix)
 
 

@@ -1,6 +1,8 @@
 """The package namespace: every public name loads from its submodule on first use."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,12 @@ def test_unknown_attribute_is_named():
     with pytest.raises(AttributeError, match="no_such_name"):
         cavity_bell.no_such_name
     assert not hasattr(cavity_bell, "_private")
+
+
+def test_sources_parse_as_python_3_10():
+    # the oldest Python the package supports; a newer syntax fails here first
+    root = Path(__file__).parents[1]
+    sources = [path for part in ("src", "tests", "bench") for path in (root / part).rglob("*.py")]
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -133,6 +133,9 @@ def test_correlations_and_tsirelson_bound(p, theta, eta, phis):
         assert abs(bell_correlation(cfg, phi_a, phi_b)) <= 1.0 + 1e-12
     assert bell_function(cfg) <= 2.0 * math.sqrt(2.0) + 1e-12
     assert bell_function_operator(cfg) <= 2.0 * math.sqrt(2.0) + 1e-12
+    # Horodecki: a pure state of concurrence G reaches at most 2 sqrt(1 + G^2)
+    horodecki = 2.0 * math.sqrt(1.0 + degree_of_entanglement(eta) ** 2) + 1e-12
+    assert max(bell_function(cfg), bell_function_operator(cfg)) <= horodecki
 
 
 @SETTINGS
