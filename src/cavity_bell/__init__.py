@@ -36,8 +36,8 @@ _EXPORTS = {
         "EntangledGbsParams", "FieldStats", "entangled_gbs_state", "field_covariance",
     ),
     "fock": (
-        "FieldOperator", "RandomStream", "StateVector", "TwoCavityState", "annihilation",
-        "creation", "expectation", "fidelity", "inner", "quadrature", "tensor",
+        "FieldOperator", "RandomStream", "StateVector", "TwoCavityState", "expectation",
+        "fidelity", "inner", "quadrature", "tensor",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -88,9 +88,6 @@ class GbsParams(Frozen):
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
-    def as_binomial(self) -> BinomialParams:
-        return BinomialParams(1, self.p, self.phi)
-
 
 def binomial_state(params: BinomialParams, n_max: int) -> StateVector:
     """Amplitude vector of |N, p, phi> on Fock levels 0..n_max."""
@@ -108,7 +105,7 @@ def binomial_state(params: BinomialParams, n_max: int) -> StateVector:
 
 def gbs_state(params: GbsParams, n_max: int = DEFAULT_N_MAX) -> StateVector:
     """Generalized Bernoulli state sqrt(1-p)|0> + exp(i phi) sqrt(p)|1>."""
-    return binomial_state(params.as_binomial(), n_max)
+    return binomial_state(BinomialParams(1, params.p, params.phi), n_max)
 
 
 def binomial_overlap(a: BinomialParams, b: BinomialParams) -> complex:

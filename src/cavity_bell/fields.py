@@ -20,9 +20,7 @@ import math
 import numpy as np
 
 from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, wrap_angle
-from .fock import (
-    DEFAULT_N_MAX, Frozen, TwoCavityState, identity, pair_expectation, quadrature, tensor,
-)
+from .fock import DEFAULT_N_MAX, Frozen, TwoCavityState, pair_expectation, quadrature, tensor
 
 
 class EntangledGbsParams(Frozen):
@@ -146,7 +144,7 @@ def field_expectation_operator(
     """Operator-oracle value of <E_j>: build the state, apply a + a-dagger."""
     if cavity not in (1, 2):
         raise ValueError(f"cavity must be 1 or 2, got {cavity!r}")
-    field, one = quadrature(n_max).matrix, identity(n_max).matrix
+    field, one = quadrature(n_max).matrix, np.eye(n_max + 1, dtype=complex)
     ops = (field, one) if cavity == 1 else (one, field)
     state = entangled_gbs_state(params, n_max)
     return float(pair_expectation(*ops, state.amplitudes).real)

@@ -1,8 +1,9 @@
 """Truncated Fock-space kernel for two-cavity field simulations.
 
 Small dense complex linear algebra: single-mode state vectors, joint states
-of two cavities, field operators, expectation values and a seeded
-random stream for reproducible Monte Carlo. All states and operators are
+of two cavities, dense operators (the one built here is the field
+a + a-dagger, ``quadrature``), expectation values and a seeded random
+stream for reproducible Monte Carlo. All states and operators are
 immutable after construction (see ``Frozen``, whose subclasses refuse
 assignment and hold read-only arrays), so everything here behaves as a pure
 function.
@@ -167,27 +168,14 @@ class FieldOperator(Frozen):
         return self.matrix.shape[0]
 
 
-def annihilation(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
-    """Photon annihilation operator a on levels 0..n_max."""
-    return FieldOperator(np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1))
-
-
-def creation(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
-    """Photon creation operator a-dagger on levels 0..n_max."""
-    return FieldOperator(np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=-1))
-
-
 def quadrature(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
-    """a + a-dagger.
+    """a + a-dagger, with sqrt(n) on both off-diagonals.
 
     Equals the single-mode electric field at the cavity center in units
     where sqrt(4 pi hbar omega / V) = 1 and the mode function is 1.
     """
-    return FieldOperator(annihilation(n_max).matrix + creation(n_max).matrix)
-
-
-def identity(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
-    return FieldOperator(np.eye(n_max + 1))
+    ladder = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    return FieldOperator(ladder + ladder.T)
 
 
 def joint(op1: FieldOperator, op2: FieldOperator) -> FieldOperator:

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from cavity_bell.bell import (
 )
 from cavity_bell.binomial import BinomialParams, GbsParams, gbs_state, orthogonal_partner
 from cavity_bell.constants import PRESETS
-from cavity_bell.dynamics import ExperimentConfig, detection_threshold_check
+from cavity_bell.dynamics import ALPHA_THRESHOLD, ExperimentConfig, detection_threshold_check
 from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
 from cavity_bell.fock import StateVector, expectation, inner, joint
 
@@ -503,6 +504,38 @@ def test_analytic_s_b_values_and_thresholds():
     assert math.isclose(violation_threshold("wide"), 1.0 / 3.0, abs_tol=1e-15)
     with pytest.raises(ValueError):
         analytic_s_b("maximal", 1.5)
+
+
+#: The closed forms README states, as it writes them, next to the code each names.
+README_CLOSED_FORMS = (
+    ("`S_B = sqrt(2)(1 + G)`", lambda g: analytic_s_b("maximal", g)),
+    ("`G > sqrt(2) - 1`", lambda g: violation_threshold("maximal")),
+    ("`S_B = 7/4 + 3G/4`", lambda g: analytic_s_b("wide", g)),
+    ("`G > 1/3`", lambda g: violation_threshold("wide")),
+    ("`2/(sqrt(2)+1)`", lambda g: ALPHA_THRESHOLD),
+)
+#: README's bound on S_B at degree of entanglement G, which no setting passes.
+README_BOUND = "`S_B = 2 sqrt(1 + G^2)`"
+
+
+def readme_formula(text: str, g: float) -> float:
+    """The right-hand side of a README formula at G = g, read as Python."""
+    right = text.strip("`").split(" = ")[-1].split(" > ")[-1].replace("^", "**")
+    right = re.sub(r"(?<=[\dG)])\s*(?=[A-Za-z(])", "*", right)  # 3G -> 3*G, 2 sqrt -> 2*sqrt
+    return eval(right, {"__builtins__": {}}, {"sqrt": math.sqrt, "G": g})
+
+
+@pytest.mark.parametrize("g", (0.0, 0.3, 1.0 / 3.0, math.sqrt(2.0) - 1.0, 1.0))
+def test_readme_closed_forms_are_the_code(g):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for text in [text for text, _ in README_CLOSED_FORMS] + [README_BOUND]:
+        assert text in readme, text
+    for text, code in README_CLOSED_FORMS:
+        assert abs(code(g) - readme_formula(text, g)) <= 1e-12, text
+    for kind in PRESETS:
+        assert bell_function(preset_config(kind, eta_for_degree(g))) <= (
+            readme_formula(README_BOUND, g) + 1e-12
+        )
 
 
 @pytest.mark.parametrize(

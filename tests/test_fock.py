@@ -9,18 +9,15 @@ import pytest
 
 from cavity_bell import fock
 from cavity_bell.bell import BellConfig, preset_config
-from cavity_bell.binomial import GbsParams, wrap_angle
+from cavity_bell.binomial import BinomialParams, GbsParams, wrap_angle
 from cavity_bell.dynamics import DetectionReport, ExperimentConfig, InitialAtomPair
 from cavity_bell.fock import (
     FieldOperator,
     RandomStream,
     StateVector,
     TwoCavityState,
-    annihilation,
-    creation,
     expectation,
     fidelity,
-    identity,
     inner,
     joint,
     quadrature,
@@ -71,7 +68,7 @@ def test_value_types_compare_and_hash_by_fields():
     assert cfg != ExperimentConfig(cfg.bell, shots=100, seed=8)
     assert GbsParams(0.3, 1.0) == GbsParams(phi=1.0, p=0.3)
     assert hash(GbsParams(0.3, 1.0)) == hash(GbsParams(0.3, 1.0))
-    assert GbsParams(0.3, 1.0) != GbsParams(0.3, 1.0).as_binomial()  # another type
+    assert GbsParams(0.3, 1.0) != BinomialParams(1, 0.3, 1.0)  # another type
     assert len({GbsParams(0.3, 1.0), GbsParams(0.3, 1.0), GbsParams(0.3, 2.0)}) == 2
 
 
@@ -122,24 +119,12 @@ def test_zero_vector_rejected():
         StateVector.normalized(np.zeros(3))
 
 
-def test_ladder_operators():
-    a = annihilation(3).matrix
-    adag = creation(3).matrix
-    assert np.allclose(adag, a.conj().T)
-    # a|n> = sqrt(n)|n-1>
-    for n in range(1, 4):
-        vec = np.zeros(4)
-        vec[n] = 1.0
-        out = a @ vec
-        assert math.isclose(out[n - 1].real, math.sqrt(n), abs_tol=1e-14)
-    # number operator from the ladder pair, up to the truncation corner
-    assert np.allclose(adag @ a, np.diag(np.arange(4.0)))
-
-
 def test_quadrature_hermitian():
     e = quadrature(4)
     assert np.max(np.abs(e.matrix - e.matrix.conj().T)) <= 1e-12
-    assert np.allclose(e.matrix, annihilation(4).matrix + creation(4).matrix)
+    # zero diagonal, sqrt(n) on both off-diagonals, zero elsewhere
+    root = np.sqrt(np.arange(1.0, 5.0))
+    assert np.array_equal(e.matrix, np.diag(root, k=1) + np.diag(root, k=-1))
 
 
 def test_expectation_vacuum_quadrature():
@@ -156,7 +141,7 @@ def test_tensor_and_joint_consistency():
     sb = StateVector.normalized(np.array([0.0, 1.0j, 0.0]))
     two = tensor(sa, sb)
     assert isinstance(two, TwoCavityState)
-    op = joint(quadrature(2), identity(2))
+    op = joint(quadrature(2), FieldOperator(np.eye(3)))
     want = expectation(quadrature(2), sa)
     got = expectation(op, two)
     assert abs(got - want) < 1e-14

@@ -44,10 +44,10 @@ from cavity_bell.fields import (
     field_expectation_operator,
 )
 from cavity_bell.fock import (
+    FieldOperator,
     TwoCavityState,
     expectation,
     fidelity,
-    identity,
     joint,
     pair_expectation,
     quadrature,
@@ -189,7 +189,7 @@ def test_field_moments_equal_joint_operator_exactly(p1, p2, t1, t2, eta, cutoff)
     # covariance prints its operator values to 12 digits, tiny nonzero
     # residues included, so the contraction must reproduce the kron bytes
     state = entangled_gbs_state(EntangledGbsParams(p1, p2, t1, t2, eta), cutoff)
-    field, one = quadrature(cutoff), identity(cutoff)
+    field, one = quadrature(cutoff), FieldOperator(np.eye(cutoff + 1))
     for op1, op2 in ((field, one), (one, field), (field, field)):
         want = expectation(joint(op1, op2), state)
         assert pair_expectation(op1.matrix, op2.matrix, state.amplitudes) == want
