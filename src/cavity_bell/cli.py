@@ -206,7 +206,11 @@ def cmd_scan(args) -> int:
 
     start, step, count = _grid_spec("grid", args.grid)
     if start < -1e-9 or (count - 1) * step + start > 1.0 + 1e-9:  # the first and last points
-        raise ValueError("G grid must lie within [0, 1]")
+        bad = start  # the first point outside [0, 1], as grid_blocks computes it
+        if start >= -1e-9:  # past 1: the walk starts no later than the first point there
+            first = min(count - 1, math.floor((1.0 - min(start, 1.0)) / step))
+            bad = next(x for x in (i * step + start for i in range(first, count)) if x > 1.0 + 1e-9)
+        raise ValueError(f"grid must lie within [0, 1], got {bad!r}")
     angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
     grid = (np.clip(g, 0.0, 1.0, out=g) for g in grid_blocks(start, step, count))
     chunks = ((g, analytic_s_b(args.preset, g),
@@ -233,26 +237,16 @@ def cmd_pscan(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    from .fields import field_correlation_operator, field_covariance, field_expectation_operator
+    from .fields import FieldStats, field_covariance, field_covariance_operator
 
     params = _state_params(args)
-    stats = field_covariance(params)
-    e1_op = field_expectation_operator(params, 1)
-    e2_op = field_expectation_operator(params, 2)
-    e1e2_op = field_correlation_operator(params)
-    items = _echo(args, STATE_OPTIONS) + [
-        ("e1_analytic", stats.e1),
-        ("e1_operator", e1_op),
-        ("e2_analytic", stats.e2),
-        ("e2_operator", e2_op),
-        ("e1e2_analytic", stats.e1e2),
-        ("e1e2_operator", e1e2_op),
-        ("covariance_analytic", stats.covariance),
-        ("covariance_operator", e1e2_op - e1_op * e2_op),
-    ]
+    routes = {"analytic": field_covariance(params), "operator": field_covariance_operator(params)}
+    items = _echo(args, STATE_OPTIONS) + [(f"{name}_{route}", getattr(stats, name))
+                                          for name in FieldStats._fields
+                                          for route, stats in routes.items()]
     _write_keyvalue(args.out, items)
     write_manifest(args)
-    print(f"covariance = {fmt(stats.covariance)}")
+    print(f"covariance = {fmt(routes['analytic'].covariance)}")
     return 0
 
 

@@ -138,20 +138,25 @@ def field_covariance(params: EntangledGbsParams) -> FieldStats:
     )
 
 
+def field_covariance_operator(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> FieldStats:
+    """Operator-oracle FieldStats: one state and one a + a-dagger serve all three moments."""
+    field, one = quadrature(n_max).matrix, np.eye(n_max + 1, dtype=complex)
+    psi = entangled_gbs_state(params, n_max).amplitudes
+    e1, e2, e1e2 = (float(pair_expectation(a, b, psi).real)
+                    for a, b in ((field, one), (one, field), (field, field)))
+    return FieldStats(e1, e2, e1e2, covariance=e1e2 - e1 * e2)
+
+
 def field_expectation_operator(
     params: EntangledGbsParams, cavity: int, n_max: int = DEFAULT_N_MAX
 ) -> float:
-    """Operator-oracle value of <E_j>: build the state, apply a + a-dagger."""
+    """Operator-oracle value of <E_j>, read from field_covariance_operator."""
     if cavity not in (1, 2):
         raise ValueError(f"cavity must be 1 or 2, got {cavity!r}")
-    field, one = quadrature(n_max).matrix, np.eye(n_max + 1, dtype=complex)
-    ops = (field, one) if cavity == 1 else (one, field)
-    state = entangled_gbs_state(params, n_max)
-    return float(pair_expectation(*ops, state.amplitudes).real)
+    stats = field_covariance_operator(params, n_max)
+    return stats.e1 if cavity == 1 else stats.e2
 
 
 def field_correlation_operator(params: EntangledGbsParams, n_max: int = DEFAULT_N_MAX) -> float:
-    """Operator-oracle value of <E_1 E_2>."""
-    field = quadrature(n_max).matrix
-    state = entangled_gbs_state(params, n_max)
-    return float(pair_expectation(field, field, state.amplitudes).real)
+    """Operator-oracle value of <E_1 E_2>, read from field_covariance_operator."""
+    return field_covariance_operator(params, n_max).e1e2

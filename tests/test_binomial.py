@@ -24,9 +24,9 @@ from cavity_bell.binomial import (
 from cavity_bell.constants import PRESETS
 from cavity_bell.fields import (
     EntangledGbsParams,
-    field_correlation_operator,
+    FieldStats,
     field_covariance,
-    field_expectation_operator,
+    field_covariance_operator,
 )
 from cavity_bell.fock import inner
 
@@ -63,10 +63,9 @@ def test_every_stored_angle_is_wrapped():
                 assert abs(bell_function(config) - bell_function_operator(config)) <= 1e-12
         for theta1, theta2 in ((theta, 0.4), (-1.1, theta), (theta, theta)):
             params = EntangledGbsParams(p1=0.3, p2=0.8, theta1=theta1, theta2=theta2, eta=0.7)
-            stats = field_covariance(params)
-            assert abs(stats.e1 - field_expectation_operator(params, 1)) <= 1e-12
-            assert abs(stats.e2 - field_expectation_operator(params, 2)) <= 1e-12
-            assert abs(stats.e1e2 - field_correlation_operator(params)) <= 1e-12
+            stats, operator = field_covariance(params), field_covariance_operator(params)
+            for name in FieldStats._fields:
+                assert abs(getattr(stats, name) - getattr(operator, name)) <= 1e-12, name
 
 
 def test_binomial_amplitudes_match_definition():

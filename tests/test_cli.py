@@ -163,6 +163,27 @@ def test_covariance_one_photon_pair(tmp_path):
     assert float(report["covariance_analytic"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_covariance_builds_one_state_and_one_quadrature(tmp_path, monkeypatch):
+    # the three operator moments share one state and one a + a-dagger
+    from cavity_bell import fields
+
+    calls = {"entangled_gbs_state": 0, "quadrature": 0}
+
+    def counted(name):
+        original = getattr(fields, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fields, name, counted(name))
+    assert main(["covariance", "--out", str(tmp_path / "cov.txt")]) == 0
+    assert calls == {"entangled_gbs_state": 1, "quadrature": 1}
+
+
 def test_generate_report(tmp_path):
     out = tmp_path / "gen.txt"
     rc = main(["generate", "--eta", "1", "--p1", "0.5", "--p2", "0.5",
@@ -268,7 +289,6 @@ def test_error_exit_codes(tmp_path, capsys):
     out = tmp_path / "x"
     failing = [
         ["simulate", "maximal", "--shots", "50"],
-        ["scan", "maximal", "--grid", "0:2:0.5"],
         ["pscan", "maximal", "--step", "0.3"],
         # non-finite inputs must fail instead of writing NaN or made-up rows
         ["simulate", "maximal", "--theta", "nan"],
@@ -314,6 +334,9 @@ def test_error_exit_codes(tmp_path, capsys):
         (["sensitivity", "maximal", "--epsilons="], "epsilons"),
         (["sensitivity", "maximal", "--epsilons=0:0.1"], "epsilons"),
         (["scan", "maximal", "--grid", "0:1:abc"], "grid"),
+        # G grids reaching outside [0, 1], past either end
+        (["scan", "maximal", "--grid", "0:2:0.5"], "grid"),
+        (["scan", "maximal", "--grid=-0.5:0.5:0.1"], "grid"),
     ]
     for argv, field in [(argv, "") for argv in failing] + named:
         assert main(argv + ["--out", str(out)]) == 1, argv

@@ -39,9 +39,9 @@ from cavity_bell.dynamics import (
 from cavity_bell.dynamics import _bell_protocol, _correlation_from_probs, _jc_stack, _probe_pulses
 from cavity_bell.fields import (
     EntangledGbsParams,
+    FieldStats,
     entangled_gbs_state,
-    field_correlation_operator,
-    field_expectation_operator,
+    field_covariance_operator,
 )
 from cavity_bell.fock import (
     FieldOperator,
@@ -188,11 +188,12 @@ def test_pair_expectation_matches_joint_operator(p1, phi1, p2, phi2, cutoff, par
 def test_field_moments_equal_joint_operator_exactly(p1, p2, t1, t2, eta, cutoff):
     # covariance prints its operator values to 12 digits, tiny nonzero
     # residues included, so the contraction must reproduce the kron bytes
-    state = entangled_gbs_state(EntangledGbsParams(p1, p2, t1, t2, eta), cutoff)
+    params = EntangledGbsParams(p1, p2, t1, t2, eta)
+    state = entangled_gbs_state(params, cutoff)
     field, one = quadrature(cutoff), FieldOperator(np.eye(cutoff + 1))
-    for op1, op2 in ((field, one), (one, field), (field, field)):
-        want = expectation(joint(op1, op2), state)
-        assert pair_expectation(op1.matrix, op2.matrix, state.amplitudes) == want
+    e1, e2, e1e2 = (expectation(joint(op1, op2), state).real
+                    for op1, op2 in ((field, one), (one, field), (field, field)))
+    assert field_covariance_operator(params, cutoff) == FieldStats(e1, e2, e1e2, e1e2 - e1 * e2)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
@@ -247,16 +248,13 @@ def test_fock_cutoff_is_inert(p1, p2, t1, t2, eta, phis, epsilons):
         for amplitudes in (joint, _probe_pulses(joint, _jc_stack(gts, cutoff))):
             assert not np.any(amplitudes[..., 2:, :]) and not np.any(amplitudes[..., 2:])
         generated = generate_entangled_gbs(InitialAtomPair(eta), p1, t1, p2, t2, n_max=cutoff)
+        stats = field_covariance_operator(params, cutoff)
         results.append(
             np.concatenate(
                 [
                     bell_function_operator_vs_eta(t1, eta, phis, p1, cutoff),
-                    [
-                        field_expectation_operator(params, 1, cutoff),
-                        field_expectation_operator(params, 2, cutoff),
-                        field_correlation_operator(params, cutoff),
-                        fidelity(generated.field, entangled_gbs_state(params, cutoff)),
-                    ],
+                    [getattr(stats, name) for name in FieldStats._fields],
+                    [fidelity(generated.field, entangled_gbs_state(params, cutoff))],
                     probs.ravel(),
                 ]
             )

@@ -23,6 +23,7 @@ CLOSED_FORMS = (
 ORACLES = (
     "bell.bell_function_operator_vs_eta",
     "bell.dichotomic_pair_expectation",
+    "fields.field_covariance_operator",
     "fields.field_expectation_operator",
     "fields.field_correlation_operator",
 )
@@ -37,6 +38,7 @@ ALLOWED = {
     "binomial.BinomialParams": "value type: checks and stores (n, p, phi)",
     "bell.BellConfig": "value type: checks and stores the Bell inputs",
     "fields.EntangledGbsParams": "value type: checks and stores the state inputs",
+    "fields.FieldStats": "value type: stores the four moments and checks they agree",
     "bell.angle_preset": "picks the settings at which both routes are evaluated",
     "bell._preset": "the table lookup behind angle_preset",
     "bell._require_unit": "refuses a vector point outside [0, 1]",
