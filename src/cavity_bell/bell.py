@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, wrap_angle
+from .binomial import Checked, GbsParams, check_fields, gbs_state, orthogonal_partner, wrap_angle
 from .constants import MAX_GRID_POINTS, PRESETS
 from .fields import EntangledGbsParams, cross_weight, entangled_branches, superpose
 from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, pair_expectation
@@ -56,7 +56,7 @@ class GbsBasisMatrix(Frozen):
             raise ValueError(f"block is not unitary-involutive, defect {defect:.3e}")
 
 
-class BellConfig(Frozen):
+class BellConfig(Checked):
     """Full configuration of one Bell evaluation.
 
     p and theta select the measured basis family and the state phase, eta
@@ -72,11 +72,6 @@ class BellConfig(Frozen):
     phi2: float
     phi1_prime: float
     phi2_prime: float
-
-    def __post_init__(self):
-        check_fields(zip(self._fields, self._values()), ("p",))
-        for name in ("theta", "phi1", "phi2", "phi1_prime", "phi2_prime"):
-            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
     @property
     def settings(self) -> tuple[tuple[float, float], ...]:
@@ -136,7 +131,7 @@ def dichotomic_operator(d: GbsParams, n_max: int = DEFAULT_N_MAX) -> FieldOperat
 
 def dichotomic_gbs_matrix(p: float, phi: float, phi_prime: float) -> GbsBasisMatrix:
     """Matrix elements of F_p(phi') in the basis pair defined at phase phi."""
-    check_fields((("p", p), ("phi", phi), ("phi_prime", phi_prime)), ("p",))
+    check_fields((("p", p), ("phi", phi), ("phi_prime", phi_prime)))
     delta = phi_prime - phi
     half = math.sin(0.5 * delta) ** 2
     f11 = 1.0 - 8.0 * p * (1.0 - p) * half
@@ -155,7 +150,7 @@ def dichotomic_eigenstates(
     partner, so those are the pair, whatever the basis phase phi; phi is
     checked all the same, as dichotomic_gbs_matrix checks it.
     """
-    check_fields((("p", p), ("phi", phi), ("phi_prime", phi_prime)), ("p",))
+    check_fields((("p", p), ("phi", phi), ("phi_prime", phi_prime)))
     base = GbsParams(p, phi_prime)
     return gbs_state(base, n_max), gbs_state(orthogonal_partner(base), n_max)
 
@@ -165,15 +160,6 @@ def degree_of_entanglement(eta: float) -> float:
     return 2.0 * abs(cross_weight(eta))
 
 
-def _require_unit(name: str, values) -> None:
-    # check_fields names the first of the values (a float or an array)
-    # outside [0, 1], NaN included
-    values = np.ravel(values)
-    bad = ~((values >= 0.0) & (values <= 1.0))
-    if np.any(bad):
-        check_fields(((name, float(values[bad][0])),), (name,))
-
-
 def eta_for_degree(g):
     """The weight eta in [0, 1] realizing a given degree of entanglement.
 
@@ -181,8 +167,8 @@ def eta_for_degree(g):
     other root is its reciprocal and describes the same amount of
     entanglement. g may be a float or an array; G = 0 gives eta = 0.
     """
-    _require_unit("degree of entanglement", g)
     degrees = np.asarray(g, dtype=float)
+    check_fields((("degree of entanglement", degrees),))
     eta = (1.0 - np.sqrt(1.0 - degrees * degrees)) / np.where(degrees == 0.0, 1.0, degrees)
     return eta if eta.ndim else float(eta)
 
@@ -263,7 +249,7 @@ def bell_function_vs_p(
     """
     config = BellConfig(0.5, theta, eta, *angles)  # checks theta, eta and the angles
     ps = np.atleast_1d(np.asarray(p_values, dtype=float))
-    _require_unit("p", ps)
+    check_fields((("p", ps),))
     return chsh(*_correlations(ps, config.theta, cross_weight(config.eta), config.settings))
 
 
@@ -284,10 +270,7 @@ def bell_function_operator_vs_eta(
     """
     config = BellConfig(p, theta, 0.0, *angles)  # checks p, theta and the angles
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
-    with np.errstate(over="ignore"):
-        bad = ~np.isfinite(etas * etas)  # NaN, infinite or an overflowing square
-    if np.any(bad):
-        check_fields((("eta", float(etas[bad][0])),))
+    check_fields((("eta", etas),))
     p, settings = config.p, config.settings
     state = GbsParams(p, config.theta)
     branches = entangled_branches(state, state, n_max)
@@ -341,7 +324,7 @@ def angle_preset(kind: str, theta: float = 0.0, eta_sign: float = 1.0) -> tuple[
 
 def analytic_s_b(kind: str, g):
     """Preset Bell value as a function of the degree of entanglement (a float or an array)."""
-    _require_unit("degree of entanglement", g)
+    check_fields((("degree of entanglement", g),))
     return _preset(kind)["s_b"](g)
 
 

@@ -38,24 +38,54 @@ def wrap_angle(x: float) -> float:
     return w
 
 
-def check_fields(fields, probabilities: tuple[str, ...] = ()) -> None:
-    """Refuse the first (name, value) pair of ``fields`` that breaks the one scalar rule.
+#: What an input must do beyond being finite, by name: a test of a float, and its words.
+_RULES = {
+    **dict.fromkeys(("p", "p1", "p2", "alpha", "detector_efficiency", "degree of entanglement"),
+                    (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")),
+    "epsilons": (lambda x: -0.5 < x < 0.5, "lie in (-0.5, 0.5)"),
+    "eta": (lambda x: math.isfinite(x * x), "have a finite square"),
+}
 
-    Each value must be finite, eta have a finite square and each value named
-    in probabilities lie in [0, 1]. The message names the pair, as in
-    "p must lie in [0, 1], got 1.5"; every value type and kernel refuses a
-    scalar through this function.
+
+def _fault(name: str, value: float):
+    # what the float value fails to do as input name, or None
+    if not math.isfinite(value):
+        return "be finite"
+    test, rule = _RULES.get(name, (None, None))
+    return rule if test and not test(value) else None
+
+
+def check_fields(fields) -> None:
+    """Refuse the first (name, value) pair of ``fields`` that breaks its input's rule.
+
+    The name gives the rule: each value must be finite and pass its test in
+    _RULES, if any. A numpy vector passes if its least and greatest points
+    do (a NaN is both), else is refused at its first failing point as a scalar.
     """
     for name, value in fields:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        if name == "eta" and not math.isfinite(value * value):
-            raise ValueError(f"eta must have a finite square, got {value!r}")
-        if name in probabilities and not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if isinstance(value, np.ndarray):
+            if not value.size or not any(_fault(name, float(end)) for end in (value.min(), value.max())):
+                continue
+            value = next(x for x in map(float, value.ravel()) if _fault(name, x))
+        rule = _fault(name, value)
+        if rule:
+            raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
-class BinomialParams(Frozen):
+class Checked(Frozen):
+    """A value type of inputs, each field checked by its name (check_fields).
+
+    Fields are stored as floats, angles (named theta..., phi...) through wrap_angle.
+    """
+
+    def __post_init__(self):
+        values = self.__dict__
+        check_fields(values.items())
+        for name, value in values.items():
+            values[name] = wrap_angle(value) if name.startswith(("theta", "phi")) else float(value)
+
+
+class BinomialParams(Checked):
     """Parameters (N, p, phi) of a generalized binomial state.
 
     n is the maximum photon number N, p the single-trial excitation
@@ -68,13 +98,14 @@ class BinomialParams(Frozen):
     phi: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
-        GbsParams.__post_init__(self)  # p and phi are checked and stored as GbsParams' own
-        object.__setattr__(self, "n", int(self.n))
+        n = self.n
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        super().__post_init__()
+        object.__setattr__(self, "n", int(n))  # the integer, not the float Checked stores
 
 
-class GbsParams(Frozen):
+class GbsParams(Checked):
     """Parameters (p, phi) of a generalized Bernoulli state (N = 1).
 
     The same pair selects the basis of the dichotomic field observable.
@@ -82,11 +113,6 @@ class GbsParams(Frozen):
 
     p: float
     phi: float
-
-    def __post_init__(self):
-        check_fields((("p", self.p), ("phi", self.phi)), ("p",))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
 def binomial_state(params: BinomialParams, n_max: int) -> StateVector:

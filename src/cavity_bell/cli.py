@@ -206,10 +206,8 @@ def cmd_scan(args) -> int:
 
     start, step, count = _grid_spec("grid", args.grid)
     if start < -1e-9 or (count - 1) * step + start > 1.0 + 1e-9:  # the first and last points
-        bad = start  # the first point outside [0, 1], as grid_blocks computes it
-        if start >= -1e-9:  # past 1: the walk starts no later than the first point there
-            first = min(count - 1, math.floor((1.0 - min(start, 1.0)) / step))
-            bad = next(x for x in (i * step + start for i in range(first, count)) if x > 1.0 + 1e-9)
+        bad = next(x for g in grid_blocks(start, step, count)
+                   for x in g[(g < -1e-9) | (g > 1.0 + 1e-9)].tolist())
         raise ValueError(f"grid must lie within [0, 1], got {bad!r}")
     angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
     grid = (np.clip(g, 0.0, 1.0, out=g) for g in grid_blocks(start, step, count))

@@ -19,11 +19,11 @@ import math
 
 import numpy as np
 
-from .binomial import GbsParams, check_fields, gbs_state, orthogonal_partner, wrap_angle
+from .binomial import Checked, GbsParams, gbs_state, orthogonal_partner
 from .fock import DEFAULT_N_MAX, Frozen, TwoCavityState, pair_expectation, quadrature, tensor
 
 
-class EntangledGbsParams(Frozen):
+class EntangledGbsParams(Checked):
     """Parameters (p1, p2, theta1, theta2, eta) of the two-cavity state.
 
     eta is any real number with a finite square, including negative
@@ -37,11 +37,6 @@ class EntangledGbsParams(Frozen):
     theta1: float
     theta2: float
     eta: float
-
-    def __post_init__(self):
-        check_fields(zip(self._fields, self._values()), ("p1", "p2"))
-        for name in ("theta1", "theta2"):
-            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
 
 def norm_const(eta):

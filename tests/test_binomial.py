@@ -17,6 +17,7 @@ from cavity_bell.binomial import (
     GbsParams,
     binomial_overlap,
     binomial_state,
+    check_fields,
     gbs_state,
     orthogonal_partner,
     wrap_angle,
@@ -150,6 +151,33 @@ def test_parameter_validation():
         binomial_state(BinomialParams(70, 0.5, 0.0), n_max=71)
     with pytest.raises(ValueError):
         binomial_state(BinomialParams(3, 0.5, 0.0), n_max=2)
+
+
+@pytest.mark.parametrize(
+    "name, values, bad, rule",
+    (
+        ("p", [0.2, 1.5, math.nan], 1.5, "must lie in [0, 1]"),
+        ("p", [[0.2, 0.3], [math.nan, -0.1]], math.nan, "must be finite"),
+        ("eta", [0.5, -3.0, 1e200, math.nan], 1e200, "must have a finite square"),
+        ("eta", [0.5, math.inf, 1e200], math.inf, "must be finite"),
+        ("theta", [1e300, -math.inf], -math.inf, "must be finite"),
+        ("degree of entanglement", [0.0, 1.0000000000000002], 1.0000000000000002,
+         "must lie in [0, 1]"),
+        ("epsilons", [0.49, -0.5], -0.5, "must lie in (-0.5, 0.5)"),
+        ("epsilons", [0.0, math.nan], math.nan, "must be finite"),
+    ),
+)
+def test_a_vector_names_its_first_failing_point(name, values, bad, rule):
+    # the vector is refused with the message of its first failing point as a scalar
+    for value in (np.array(values), bad):
+        with pytest.raises(ValueError) as info:
+            check_fields((("ok", 0.5), (name, value), ("later", math.nan)))
+        assert str(info.value) == f"{name} {rule}, got {bad!r}"
+
+
+def test_good_vectors_pass():
+    check_fields((("p", np.linspace(0.0, 1.0, 11)), ("eta", np.array([1e154, -1e-300])),
+                  ("epsilons", np.array([-0.4999, 0.4999])), ("theta", np.array([]))))
 
 
 def test_phase_is_wrapped():

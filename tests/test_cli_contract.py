@@ -2,7 +2,8 @@
 
 Every command line ends in exactly one of three ways: exit 0 with a finite
 output, its manifest and the same bytes on a rerun; exit 1 with one
-``error:`` line and no file; or exit 2 with a usage message and no file. No
+``error:`` line that starts with the name of one of the command's options,
+and no file; or exit 2 with a usage message and no file. No
 temporary file is left behind. The options and presets are drawn from
 ``build_parser()``, so a new one is covered without editing this test; a
 new option type needs a pool in POOLS.
@@ -15,7 +16,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from cavity_bell.cli import build_parser, main, parse_angle
@@ -50,6 +51,10 @@ def subcommands() -> dict:
 
 
 COMMANDS = subcommands()
+#: The option names of each command, as an exit-1 line starts with them.
+OPTION_NAMES = {name: {action.dest for action in parser._actions
+                       if not isinstance(action, argparse._HelpAction)}
+                for name, parser in COMMANDS.items()}
 
 
 @st.composite
@@ -96,6 +101,7 @@ def numbers(text: str) -> list:
 
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(command_lines())
+@example(["simulate", "maximal", "--alpha=0"])  # no shot retained: the line names shots
 def test_every_command_line_keeps_the_error_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -112,6 +118,9 @@ def test_every_command_line_keeps_the_error_contract(argv):
             assert [(Path(tmp) / name).read_bytes() for name in files] == written
         elif code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            head = err[len("error: "):]
+            assert any(head.startswith((f"{name} ", f"{name}:"))
+                       for name in OPTION_NAMES[argv[0]]), err
             assert files == [], files
         else:
             assert code == 2 and "usage: " in err, (code, err)

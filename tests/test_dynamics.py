@@ -430,6 +430,22 @@ def test_timing_sensitivity_sweep():
         timing_sensitivity(cfg, [0.6])
 
 
+@pytest.mark.parametrize(
+    "epsilons, message",
+    (
+        ([0.0, math.nan], "epsilons must be finite, got nan"),
+        ([0.1, -math.inf, 0.7], "epsilons must be finite, got -inf"),
+        ([0.1, 0.5, math.nan], "epsilons must lie in (-0.5, 0.5), got 0.5"),
+        (0.7, "epsilons must lie in (-0.5, 0.5), got 0.7"),
+    ),
+)
+def test_timing_sensitivity_names_the_first_bad_epsilon(epsilons, message):
+    # the scalar rule of check_fields, at the first failing point
+    cfg = ExperimentConfig(bell=preset_config("maximal", 1.0), shots=1, seed=1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        timing_sensitivity(cfg, epsilons)
+
+
 @pytest.mark.parametrize("kind", ("maximal", "wide"))
 def test_timing_sensitivity_closed_form(kind):
     # Each pulse of area (pi/2)(1 + eps) moves a photon with amplitude

@@ -32,6 +32,9 @@ ORACLES = (
 #: the two routes agree on a wrong number.
 ALLOWED = {
     "binomial.check_fields": "refuses bad inputs and computes nothing",
+    "binomial._RULES": "check_fields' name table: the rule each named input must pass",
+    "binomial._fault": "check_fields' scalar rule: names the rule a value breaks",
+    "binomial.Checked": "the checked value types' base: checks and stores their fields",
     "binomial.wrap_angle": "the one angle rule, applied to the inputs of both routes",
     "fock.Frozen": "the value types' base: binds and freezes fields",
     "binomial.GbsParams": "value type: checks and stores (p, phi)",
@@ -41,7 +44,6 @@ ALLOWED = {
     "fields.FieldStats": "value type: stores the four moments and checks they agree",
     "bell.angle_preset": "picks the settings at which both routes are evaluated",
     "bell._preset": "the table lookup behind angle_preset",
-    "bell._require_unit": "refuses a vector point outside [0, 1]",
     "bell.chsh": "combines four correlations, whichever route computed them",
 }
 
