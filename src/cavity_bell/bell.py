@@ -107,8 +107,7 @@ def chsh(c11: float, c12: float, c21: float, c22: float) -> float:
 
 def _dichotomic_matrix(p: float, phi: float, n_max: int) -> np.ndarray:
     # F_p(phi) on levels 0..n_max
-    if n_max < 1:
-        raise ValueError(f"n_max = {n_max} cannot hold a state with N = 1")
+    check_fields((("n_max", n_max),))
     diag = 2.0 * p - 1.0
     off = 2.0 * math.sqrt(p * (1.0 - p))
     mat = np.zeros((n_max + 1, n_max + 1), dtype=complex)

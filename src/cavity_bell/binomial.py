@@ -38,29 +38,52 @@ def wrap_angle(x: float) -> float:
     return w
 
 
-#: What an input must do beyond being finite, by name: a test of a float, and its words.
+def _count(low, high):
+    # the test of a count: an int or numpy integer, not a bool, in [low, high]
+    return lambda x: (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                      and low <= x <= high)
+
+
+#: The inputs that are counts, by name: the test of their value, and its words.
+_COUNTS = {
+    "n": (_count(0, math.inf), "be an integer >= 0"),
+    "n_max": (_count(1, math.inf), "be an integer >= 1"),
+    "cavity": (_count(1, 2), "be 1 or 2"),
+    "shots": (_count(1, 2**63 - 1), "be an integer in [1, 2**63 - 1]"),  # the counts are int64
+    "seed": (_count(0, 2**64 - 1), "be an integer in [0, 2**64)"),  # RandomStream keys on 64 bits
+}
+#: What an input must do, by name: a test of its value, and its words. Any
+#: value but a count must also be finite, and its test sees it as a float.
 _RULES = {
     **dict.fromkeys(("p", "p1", "p2", "alpha", "detector_efficiency", "degree of entanglement"),
                     (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")),
     "epsilons": (lambda x: -0.5 < x < 0.5, "lie in (-0.5, 0.5)"),
     "eta": (lambda x: math.isfinite(x * x), "have a finite square"),
+    **_COUNTS,
 }
 
 
-def _fault(name: str, value: float):
-    # what the float value fails to do as input name, or None
-    if not math.isfinite(value):
-        return "be finite"
+def _fault(name: str, value):
+    # what the value fails to do as input name, or None
     test, rule = _RULES.get(name, (None, None))
+    if name not in _COUNTS:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            return "be finite"
+        value = float(value)
     return rule if test and not test(value) else None
 
 
 def check_fields(fields) -> None:
     """Refuse the first (name, value) pair of ``fields`` that breaks its input's rule.
 
-    The name gives the rule: each value must be finite and pass its test in
-    _RULES, if any. A numpy vector passes if its least and greatest points
-    do (a NaN is both), else is refused at its first failing point as a scalar.
+    The name gives the rule: each value must pass its test in _RULES, if
+    any, and be finite unless it is a count. A numpy vector passes if its
+    least and greatest points do (a NaN is both), else is refused at its
+    first failing point as a scalar.
     """
     for name, value in fields:
         if isinstance(value, np.ndarray):
@@ -75,14 +98,16 @@ def check_fields(fields) -> None:
 class Checked(Frozen):
     """A value type of inputs, each field checked by its name (check_fields).
 
-    Fields are stored as floats, angles (named theta..., phi...) through wrap_angle.
+    Fields are stored as floats, counts as ints and angles (named theta...,
+    phi...) through wrap_angle.
     """
 
     def __post_init__(self):
         values = self.__dict__
         check_fields(values.items())
         for name, value in values.items():
-            values[name] = wrap_angle(value) if name.startswith(("theta", "phi")) else float(value)
+            values[name] = (wrap_angle(value) if name.startswith(("theta", "phi"))
+                            else int(value) if name in _COUNTS else float(value))
 
 
 class BinomialParams(Checked):
@@ -96,13 +121,6 @@ class BinomialParams(Checked):
     n: int
     p: float
     phi: float
-
-    def __post_init__(self):
-        n = self.n
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {n!r}")
-        super().__post_init__()
-        object.__setattr__(self, "n", int(n))  # the integer, not the float Checked stores
 
 
 class GbsParams(Checked):
@@ -119,7 +137,8 @@ def binomial_state(params: BinomialParams, n_max: int) -> StateVector:
     """Amplitude vector of |N, p, phi> on Fock levels 0..n_max."""
     if params.n > _MAX_TRIALS:
         raise ValueError(f"N = {params.n} exceeds the supported maximum {_MAX_TRIALS}")
-    if n_max < max(params.n, 1):
+    check_fields((("n_max", n_max),))
+    if n_max < params.n:
         raise ValueError(f"n_max = {n_max} cannot hold a state with N = {params.n}")
     amps = np.zeros(n_max + 1, dtype=complex)
     n, p, phi = params.n, params.p, params.phi

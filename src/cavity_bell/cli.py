@@ -253,7 +253,7 @@ def cmd_simulate(args) -> int:
     from .dynamics import ExperimentConfig, detection_threshold_check, run_bell_experiment
 
     if args.shots < 100:
-        raise ValueError("shots must be at least 100")
+        raise ValueError(f"shots must be at least 100, got {args.shots}")
     report = detection_threshold_check(args.alpha)
     config = _bell_config(args)
     experiment = ExperimentConfig(
@@ -264,7 +264,7 @@ def cmd_simulate(args) -> int:
     )
     estimate = run_bell_experiment(experiment)
     analytic = bell_function(config)
-    items = _echo(args, BELL_RUN_OPTIONS + ("shots", "seed", "alpha")) + [
+    items = _echo(args, COMMANDS["simulate"][1]) + [
         ("alpha_threshold", report.alpha_threshold),
         ("alpha_above_threshold", report.violable),
         ("s_b_analytic", analytic),
@@ -334,70 +334,50 @@ def cmd_sensitivity(args) -> int:
     return 0
 
 
+#: Every option of the commands, by name: its argparse keywords. "preset"
+#: is positional; every other name is a --flag.
+OPTIONS = {
+    "out": dict(required=True, help="output file path"),
+    "preset": dict(choices=PRESETS),
+    "p1": dict(type=float, default=0.5),
+    "p2": dict(type=float, default=0.5),
+    "theta1": dict(type=parse_angle, default=0.0),
+    "theta2": dict(type=parse_angle, default=0.0),
+    "eta": dict(type=float, default=1.0),
+    "p": dict(type=float, default=0.5),
+    "theta": dict(type=parse_angle, default=0.0, help="state phase"),
+    "grid": dict(default="0:1:0.05", help="G grid as start:stop:step"),
+    "step": dict(type=float, default=0.005, help="p grid step"),
+    "shots": dict(type=int, default=10000, help="shots per setting (min 100)"),
+    "seed": dict(type=int, default=12345, help="random seed (default 12345)"),
+    "alpha": dict(type=float, default=1.0, help="detector efficiency in [0, 1]"),
+    "epsilons": dict(default="-0.05,-0.02,-0.01,0,0.01,0.02,0.05",
+                     help="relative timing errors: comma list or start:stop:step"),
+}
+
+#: Each command, run by cmd_<name>: its help and the options it takes after --out.
+COMMANDS = {
+    "scan": ("S_B vs degree of entanglement G (CSV)", ("preset", "grid", "theta")),
+    "pscan": ("S_B vs p with argmax (CSV)", ("preset", "eta", "theta", "step")),
+    "covariance": ("field statistics report (key-value)", STATE_OPTIONS),
+    "simulate": ("Monte Carlo Bell experiment (key-value)",
+                 BELL_RUN_OPTIONS + ("shots", "seed", "alpha")),
+    "generate": ("generation-protocol fidelity (key-value)", STATE_OPTIONS),
+    "sensitivity": ("pulse-timing error sweep (CSV)", BELL_RUN_OPTIONS + ("epsilons",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavity-bell",
         description="Entangled two-cavity Bernoulli states: Bell scans and protocol simulation.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", required=True, help="output file path")
-    state = argparse.ArgumentParser(add_help=False)  # STATE_OPTIONS
-    state.add_argument("--p1", type=float, default=0.5)
-    state.add_argument("--p2", type=float, default=0.5)
-    state.add_argument("--theta1", type=parse_angle, default=0.0)
-    state.add_argument("--theta2", type=parse_angle, default=0.0)
-    state.add_argument("--eta", type=float, default=1.0)
-    bell_run = argparse.ArgumentParser(add_help=False)  # BELL_RUN_OPTIONS
-    bell_run.add_argument("preset", choices=PRESETS)
-    bell_run.add_argument("--eta", type=float, default=1.0)
-    bell_run.add_argument("--p", type=float, default=0.5)
-    bell_run.add_argument("--theta", type=parse_angle, default=0.0)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    scan = sub.add_parser(
-        "scan", parents=[common], help="S_B vs degree of entanglement G (CSV)"
-    )
-    scan.add_argument("preset", choices=PRESETS)
-    scan.add_argument("--grid", default="0:1:0.05", help="G grid as start:stop:step")
-    scan.add_argument("--theta", type=parse_angle, default=0.0, help="state phase")
-    scan.set_defaults(handler=cmd_scan)
-
-    pscan = sub.add_parser("pscan", parents=[common], help="S_B vs p with argmax (CSV)")
-    pscan.add_argument("preset", choices=PRESETS)
-    pscan.add_argument("--eta", type=float, default=1.0)
-    pscan.add_argument("--theta", type=parse_angle, default=0.0)
-    pscan.add_argument("--step", type=float, default=0.005, help="p grid step")
-    pscan.set_defaults(handler=cmd_pscan)
-
-    covariance = sub.add_parser(
-        "covariance", parents=[common, state], help="field statistics report (key-value)"
-    )
-    covariance.set_defaults(handler=cmd_covariance)
-
-    simulate = sub.add_parser(
-        "simulate", parents=[common, bell_run], help="Monte Carlo Bell experiment (key-value)"
-    )
-    simulate.add_argument("--shots", type=int, default=10000, help="shots per setting (min 100)")
-    simulate.add_argument("--seed", type=int, default=12345, help="random seed (default 12345)")
-    simulate.add_argument(
-        "--alpha", type=float, default=1.0, help="detector efficiency in [0, 1]"
-    )
-    simulate.set_defaults(handler=cmd_simulate)
-
-    generate = sub.add_parser(
-        "generate", parents=[common, state], help="generation-protocol fidelity (key-value)"
-    )
-    generate.set_defaults(handler=cmd_generate)
-
-    sensitivity = sub.add_parser(
-        "sensitivity", parents=[common, bell_run], help="pulse-timing error sweep (CSV)"
-    )
-    sensitivity.add_argument(
-        "--epsilons",
-        default="-0.05,-0.02,-0.01,0,0.01,0.02,0.05",
-        help="relative timing errors: comma list or start:stop:step",
-    )
-    sensitivity.set_defaults(handler=cmd_sensitivity)
+    for command, (text, names) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        for name in ("out", *names):
+            command_parser.add_argument(name if name == "preset" else f"--{name}", **OPTIONS[name])
+        command_parser.set_defaults(handler=globals()[f"cmd_{command}"])
     return parser
 
 

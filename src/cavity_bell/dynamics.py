@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .bell import BellConfig, blocks, chsh
-from .binomial import GbsParams, check_fields
+from .binomial import Checked, GbsParams, check_fields
 from .fields import EntangledGbsParams, entangled_gbs_state, norm_const
 from .fock import DEFAULT_N_MAX, Frozen, RandomStream, StateVector, TwoCavityState, braket
 
@@ -42,9 +42,6 @@ PROBE_PULSE_AREA = math.pi / 2.0
 #: Detector efficiency above which the Bell violation survives without the
 #: fair-sampling assumption, for maximally entangled states: 2/(sqrt(2)+1).
 ALPHA_THRESHOLD = 2.0 / (math.sqrt(2.0) + 1.0)
-
-#: Largest shot count per setting: the multinomial counts are int64.
-MAX_SHOTS = 2**63 - 1
 
 
 def _jc_stack(gts: np.ndarray, n_max: int) -> np.ndarray:
@@ -110,7 +107,7 @@ def probe_measure(field: StateVector, d: GbsParams, rng: RandomStream):
     return (1 if got_up else -1), post_field
 
 
-class InitialAtomPair(Frozen):
+class InitialAtomPair(Checked):
     """Entangled atom pair (|up down> + eta |down up>) / sqrt(1 + eta^2)."""
 
     eta: float
@@ -222,17 +219,8 @@ class ExperimentConfig(Frozen):
     detector_efficiency: float = 1.0
 
     def __post_init__(self):
-        for name in ("shots", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be at least 1")
-        if self.shots > MAX_SHOTS:
-            raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots!r}")
-        if not 0 <= int(self.seed) < 2**64:  # RandomStream keys on 64 bits
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
-        check_fields((("detector_efficiency", self.detector_efficiency),))
+        check_fields((("shots", self.shots), ("seed", self.seed),
+                      ("detector_efficiency", self.detector_efficiency)))
 
 
 class SettingEstimate(Frozen):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .binomial import Checked, GbsParams, gbs_state, orthogonal_partner
+from .binomial import Checked, GbsParams, check_fields, gbs_state, orthogonal_partner
 from .fock import DEFAULT_N_MAX, Frozen, TwoCavityState, pair_expectation, quadrature, tensor
 
 
@@ -146,8 +146,7 @@ def field_expectation_operator(
     params: EntangledGbsParams, cavity: int, n_max: int = DEFAULT_N_MAX
 ) -> float:
     """Operator-oracle value of <E_j>, read from field_covariance_operator."""
-    if cavity not in (1, 2):
-        raise ValueError(f"cavity must be 1 or 2, got {cavity!r}")
+    check_fields((("cavity", cavity),))
     stats = field_covariance_operator(params, n_max)
     return stats.e1 if cavity == 1 else stats.e2
 

@@ -121,15 +121,6 @@ class StateVector(Frozen):
             raise ValueError("cannot normalize a zero vector")
         return cls(amps / norm)
 
-    @classmethod
-    def fock(cls, n: int, n_max: int = DEFAULT_N_MAX) -> "StateVector":
-        """Photon-number eigenstate |n>."""
-        if not 0 <= n <= n_max:
-            raise ValueError(f"photon number {n} outside 0..{n_max}")
-        amps = np.zeros(n_max + 1, dtype=complex)
-        amps[n] = 1.0
-        return cls(amps)
-
 
 class TwoCavityState(Frozen):
     """Joint pure state of two cavity modes with a common cutoff.
@@ -303,7 +294,8 @@ def _binomial(draw, n: int, p: float) -> int:
         x = y = 0
         c = math.log1p(-p)
         while True:
-            y += math.floor(math.log1p(-draw()) / c) + 1
+            # a gap is capped at n, which ends the count: it is inf for a subnormal p
+            y += math.floor(min(math.log1p(-draw()) / c, n)) + 1
             if y > n:
                 return x
             x += 1

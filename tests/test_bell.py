@@ -33,10 +33,12 @@ from cavity_bell.bell import (
     preset_config,
     violation_threshold,
 )
-from cavity_bell.binomial import BinomialParams, GbsParams, gbs_state, orthogonal_partner
+from cavity_bell.binomial import (BinomialParams, GbsParams, binomial_state, gbs_state,
+                                  orthogonal_partner)
 from cavity_bell.constants import PRESETS
-from cavity_bell.dynamics import ALPHA_THRESHOLD, ExperimentConfig, detection_threshold_check
-from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state
+from cavity_bell.dynamics import (ALPHA_THRESHOLD, ExperimentConfig, InitialAtomPair,
+                                  detection_threshold_check)
+from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state, field_expectation_operator
 from cavity_bell.fock import StateVector, expectation, inner, joint
 
 
@@ -66,7 +68,7 @@ def test_dichotomic_operator_spectrum():
 
 @pytest.mark.parametrize("n_max", (0, -1))
 def test_dichotomic_operator_refuses_a_cutoff_below_one_photon(n_max):
-    with pytest.raises(ValueError, match=f"^n_max = {n_max} cannot hold a state with N = 1$"):
+    with pytest.raises(ValueError, match=f"^n_max must be an integer >= 1, got {n_max}$"):
         dichotomic_operator(DichotomicParams(0.3, 0.9), n_max=n_max)
 
 
@@ -360,7 +362,7 @@ def test_scan_oracle_at_large_cutoff():
     assert np.max(np.abs(s_b - analytic_s_b("maximal", degrees))) <= 1e-12
     assert peak <= 2**26, peak
     # a cutoff below one photon cannot hold the Bernoulli states
-    with pytest.raises(ValueError, match="^n_max = 0 cannot hold"):
+    with pytest.raises(ValueError, match="^n_max must be an integer >= 1, got 0$"):
         bell_function_operator(preset_config("maximal", 0.5), 0)
 
 
@@ -577,40 +579,62 @@ BELL_FIELDS = {
 STATE_FIELDS = {"p1": 0.3, "p2": 0.6, "theta1": 0.1, "theta2": 0.2, "eta": -0.7}
 BASIS_FIELDS = {"p": 0.4, "phi": 0.3, "phi_prime": 1.2}
 #: Every value type and function that refuses a scalar through check_fields,
-#: with good arguments; each float among them is one field to fault.
+#: with good arguments; each float and each count among them is one field to fault.
 CHECKED = (
     (BellConfig, BELL_FIELDS),
     (EntangledGbsParams, STATE_FIELDS),
     (GbsParams, {"p": 0.4, "phi": 0.3}),
     (BinomialParams, {"n": 2, "p": 0.4, "phi": 0.3}),
+    (InitialAtomPair, {"eta": 0.7}),
     (dichotomic_gbs_matrix, BASIS_FIELDS),
     (dichotomic_eigenstates, BASIS_FIELDS),
     (angle_preset, {"kind": "maximal", "theta": 0.3}),
     (detection_threshold_check, {"alpha": 0.9}),
     (ExperimentConfig, {"bell": preset_config("maximal", 1.0), "shots": 10, "seed": 3,
                         "detector_efficiency": 0.9}),
+    (binomial_state, {"params": BinomialParams(1, 0.4, 0.3), "n_max": 3}),
+    (dichotomic_operator, {"d": GbsParams(0.4, 0.3), "n_max": 3}),
+    (field_expectation_operator, {"params": EntangledGbsParams(**STATE_FIELDS), "cavity": 1}),
 )
+#: The bad values of each count, and the words of its rule.
+COUNT_FAULTS = {
+    "shots": ((0, 2**63, 1000.7, True), "must be an integer in [1, 2**63 - 1]"),
+    "seed": ((-1, 2**64, 1.9), "must be an integer in [0, 2**64)"),
+    "n": ((-1, 1.5), "must be an integer >= 0"),
+    "n_max": ((0,), "must be an integer >= 1"),
+    "cavity": ((3,), "must be 1 or 2"),
+}
 
 
 def one_fault_cases():
     for cls, fields in CHECKED:
-        for name in (name for name, value in fields.items() if isinstance(value, float)):
-            faults = [(bad, "must be finite") for bad in ("nan", "inf", "-inf")]
-            if name == "eta":
-                faults += [(bad, "must have a finite square") for bad in ("1e+155", "-1e+200")]
-            if name in ("p", "p1", "p2", "alpha", "detector_efficiency"):
-                faults += [(bad, "must lie in [0, 1]") for bad in ("-0.1", "1.5", "1.0000000000000002")]
-            for bad, rule in faults:
-                yield pytest.param(
-                    cls, fields, name, bad, f"{name} {rule}, got {bad}", id=f"{cls.__name__}-{name}={bad}"
-                )
+        for name, good in fields.items():
+            if name in COUNT_FAULTS:
+                bads, rule = COUNT_FAULTS[name]
+                faults = [(repr(bad), bad, rule) for bad in bads]
+            elif isinstance(good, float):
+                # an int beyond the float range is no finite float either
+                faults = [(bad, float(bad), "must be finite") for bad in ("nan", "inf", "-inf")]
+                faults.append(("10**400", 10**400, "must be finite"))
+                if name == "eta":
+                    faults += [(bad, float(bad), "must have a finite square")
+                               for bad in ("1e+155", "-1e+200")]
+                    faults.append(("10**200", 10**200, "must have a finite square"))
+                if name in ("p", "p1", "p2", "alpha", "detector_efficiency"):
+                    faults += [(bad, float(bad), "must lie in [0, 1]")
+                               for bad in ("-0.1", "1.5", "1.0000000000000002")]
+            else:
+                continue
+            for text, bad, rule in faults:
+                yield pytest.param(cls, fields, name, bad, f"{name} {rule}, got {bad!r}",
+                                   id=f"{cls.__name__}-{name}={text}")
 
 
 @pytest.mark.parametrize("cls, fields, name, bad, message", one_fault_cases())
 def test_one_fault_names_its_field(cls, fields, name, bad, message):
-    # bad is the value as repr shows it, so the message must quote it back
+    # the message must quote the bad value back as repr shows it
     with pytest.raises(ValueError) as info:
-        cls(**{**fields, name: float(bad)})
+        cls(**{**fields, name: bad})
     assert str(info.value) == message
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, file formats, manifests, exit codes."""
 
+import argparse
 import gc
 import hashlib
 import json
@@ -231,7 +232,7 @@ def test_simulate_refuses_a_seed_outside_64_bits(tmp_path, capsys):
     for seed in ("-1", str(2**64)):
         assert main(["simulate", "maximal", f"--seed={seed}", "--shots", "1000",
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+        assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
     assert not out.exists()
     assert main(["simulate", "maximal", f"--seed={2**64 - 1}", "--shots", "1000",
                  "--out", str(out)]) == 0
@@ -390,6 +391,36 @@ def test_settings_are_numbered_from_one(tmp_path, capsys):
 
 def test_state_options_follow_the_state_fields():
     assert cli.STATE_OPTIONS == EntangledGbsParams._fields
+
+
+PRESET = ("preset", None, None, ("maximal", "wide"), True)
+OUT = ("out", None, None, None, True)
+STATE = [("p1", float, 0.5, None, False), ("p2", float, 0.5, None, False),
+         ("theta1", parse_angle, 0.0, None, False), ("theta2", parse_angle, 0.0, None, False),
+         ("eta", float, 1.0, None, False)]
+BELL_RUN = [PRESET, ("eta", float, 1.0, None, False), ("p", float, 0.5, None, False),
+            ("theta", parse_angle, 0.0, None, False)]
+#: Each command's options, in order, as (dest, type, default, choices, required).
+PARSED_OPTIONS = {
+    "scan": [OUT, PRESET, ("grid", None, "0:1:0.05", None, False),
+             ("theta", parse_angle, 0.0, None, False)],
+    "pscan": [OUT, PRESET, ("eta", float, 1.0, None, False), ("theta", parse_angle, 0.0, None, False),
+              ("step", float, 0.005, None, False)],
+    "covariance": [OUT, *STATE],
+    "simulate": [OUT, *BELL_RUN, ("shots", int, 10000, None, False),
+                 ("seed", int, 12345, None, False), ("alpha", float, 1.0, None, False)],
+    "generate": [OUT, *STATE],
+    "sensitivity": [OUT, *BELL_RUN,
+                    ("epsilons", None, "-0.05,-0.02,-0.01,0,0.01,0.02,0.05", None, False)],
+}
+
+
+def test_each_command_keeps_its_options():
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: [(a.dest, a.type, a.default, a.choices, a.required) for a in parser._actions
+                      if not isinstance(a, argparse._HelpAction)]
+               for name, parser in sub.choices.items()}
+    assert options == PARSED_OPTIONS
 
 
 PHYSICS = ("fock", "binomial", "fields", "bell", "dynamics")

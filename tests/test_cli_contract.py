@@ -102,6 +102,7 @@ def numbers(text: str) -> list:
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(command_lines())
 @example(["simulate", "maximal", "--alpha=0"])  # no shot retained: the line names shots
+@example(["simulate", "maximal", "--eta=5e-324", "--alpha=5e-324"])  # subnormal cell probabilities
 def test_every_command_line_keeps_the_error_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

@@ -387,12 +387,12 @@ def test_experiment_config_validation():
     # whole shots are drawn, so a fractional count would be misreported, and
     # a fractional seed would select the stream of its integer part
     for shots, seed, message in (
-        (1000.7, 1, "shots must be an integer, got 1000.7"),
-        (True, 1, "shots must be an integer, got True"),
-        (100, 1.9, "seed must be an integer, got 1.9"),
+        (1000.7, 1, "shots must be an integer in [1, 2**63 - 1], got 1000.7"),
+        (True, 1, "shots must be an integer in [1, 2**63 - 1], got True"),
+        (100, 1.9, "seed must be an integer in [0, 2**64), got 1.9"),
         # the stream keys on 64 bits, so these would alias 2**64 - 1 and 0
-        (100, -1, "seed must lie in [0, 2**64), got -1"),
-        (100, 2**64, "seed must lie in [0, 2**64), got 18446744073709551616"),
+        (100, -1, "seed must be an integer in [0, 2**64), got -1"),
+        (100, 2**64, "seed must be an integer in [0, 2**64), got 18446744073709551616"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(bell=bell, shots=shots, seed=seed)

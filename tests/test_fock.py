@@ -26,7 +26,7 @@ from cavity_bell.fock import (
 
 
 def test_fock_basis_states():
-    s = StateVector.fock(1, n_max=3)
+    s = StateVector(np.eye(4)[1])
     assert s.n_max == 3
     assert s.amplitudes[1] == 1.0
     assert np.count_nonzero(s.amplitudes) == 1
@@ -40,14 +40,14 @@ def test_state_requires_normalization():
 
 
 def test_state_is_immutable():
-    s = StateVector.fock(0, n_max=2)
+    s = StateVector(np.eye(3)[0])
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.5
 
 
 def test_value_types_refuse_assignment_and_deletion():
     cfg = preset_config("maximal", 0.5)
-    values = (StateVector.fock(0), cfg, ExperimentConfig(cfg, shots=10, seed=1), GbsParams(0.3, 1.0))
+    values = (StateVector(np.eye(3)[0]), cfg, ExperimentConfig(cfg, shots=10, seed=1), GbsParams(0.3, 1.0))
     for value in values:
         name = type(value)._fields[0]
         before = getattr(value, name)
@@ -128,7 +128,7 @@ def test_quadrature_hermitian():
 
 
 def test_expectation_vacuum_quadrature():
-    vac = StateVector.fock(0, n_max=2)
+    vac = StateVector(np.eye(3)[0])
     assert abs(expectation(quadrature(2), vac)) < 1e-14
     # <0|E^2|0> = 1 for E = a + a^dag
     e = quadrature(2).matrix
@@ -149,12 +149,12 @@ def test_tensor_and_joint_consistency():
 
 def test_tensor_rejects_mismatched_cutoffs():
     with pytest.raises(ValueError):
-        tensor(StateVector.fock(0, 2), StateVector.fock(0, 3))
+        tensor(StateVector(np.eye(3)[0]), StateVector(np.eye(4)[0]))
 
 
 def test_inner_and_fidelity():
     sa = StateVector.normalized(np.array([1.0, 1.0j]) / math.sqrt(2))
-    sb = StateVector.fock(0, n_max=1)
+    sb = StateVector(np.eye(2)[0])
     assert abs(inner(sa, sb) - (1 / math.sqrt(2))) < 1e-14
     assert math.isclose(fidelity(sa, sb), 0.5, abs_tol=1e-14)
     with pytest.raises(TypeError):
@@ -216,6 +216,14 @@ def chi_square_bound(dof: int, z: float = 5.0) -> float:
     """Upper z-sigma quantile of chi-square with ``dof`` degrees (Wilson-Hilferty)."""
     t = 2.0 / (9.0 * dof)
     return dof * (1.0 - t + z * math.sqrt(t)) ** 3
+
+
+def test_binomial_of_a_subnormal_p_is_zero():
+    # each geometric gap log(1 - u) / log(1 - p) overflows to inf
+    draw = random.Random(7).random
+    assert [fock._binomial(draw, n, 5e-324) for n in (2, 10**6, 2**63 - 1)] == [0, 0, 0]
+    counts = fock.RandomStream(7).multinomial(10**6, [5e-324, 1.0, 0.0])
+    assert counts.tolist() == [0, 10**6, 0]
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,8 @@ ALLOWED = {
     "binomial.check_fields": "refuses bad inputs and computes nothing",
     "binomial._RULES": "check_fields' name table: the rule each named input must pass",
     "binomial._fault": "check_fields' scalar rule: names the rule a value breaks",
+    "binomial._COUNTS": "_RULES' rows of the counts, which need not be finite",
+    "binomial._count": "builds a count's test in _COUNTS",
     "binomial.Checked": "the checked value types' base: checks and stores their fields",
     "binomial.wrap_angle": "the one angle rule, applied to the inputs of both routes",
     "fock.Frozen": "the value types' base: binds and freezes fields",
