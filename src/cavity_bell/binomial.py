@@ -21,11 +21,6 @@ import numpy as np
 
 from .fock import DEFAULT_N_MAX, Frozen, StateVector
 
-# Weights are built in floating point; past ~64 trials the smallest terms
-# underflow long before the largest, so refuse instead of degrading quietly.
-_MAX_TRIALS = 64
-
-
 def wrap_angle(x: float) -> float:
     """Reduce an angle to the canonical interval (-pi, pi].
 
@@ -46,8 +41,11 @@ def _count(low, high):
 
 #: The inputs that are counts, by name: the test of their value, and its words.
 _COUNTS = {
-    "n": (_count(0, math.inf), "be an integer >= 0"),
-    "n_max": (_count(1, math.inf), "be an integer >= 1"),
+    # weights are built in floating point; past ~64 trials the smallest terms
+    # underflow long before the largest, so refuse instead of degrading quietly
+    "n": (_count(0, 64), "be an integer in [0, 64]"),
+    # a two-cavity state on levels 0..n_max holds at most about 2**20 amplitudes
+    "n_max": (_count(1, 2**10), "be an integer in [1, 1024]"),
     "cavity": (_count(1, 2), "be 1 or 2"),
     "shots": (_count(1, 2**63 - 1), "be an integer in [1, 2**63 - 1]"),  # the counts are int64
     "seed": (_count(0, 2**64 - 1), "be an integer in [0, 2**64)"),  # RandomStream keys on 64 bits
@@ -135,8 +133,6 @@ class GbsParams(Checked):
 
 def binomial_state(params: BinomialParams, n_max: int) -> StateVector:
     """Amplitude vector of |N, p, phi> on Fock levels 0..n_max."""
-    if params.n > _MAX_TRIALS:
-        raise ValueError(f"N = {params.n} exceeds the supported maximum {_MAX_TRIALS}")
     check_fields((("n_max", n_max),))
     if n_max < params.n:
         raise ValueError(f"n_max = {n_max} cannot hold a state with N = {params.n}")
@@ -160,7 +156,7 @@ def binomial_overlap(a: BinomialParams, b: BinomialParams) -> complex:
     which the binomial theorem gives directly from the amplitude sums.
     """
     if a.n != b.n:
-        raise ValueError(f"overlap needs equal N, got {a.n} and {b.n}")
+        raise ValueError(f"n must be equal in a and b, got {a.n} and {b.n}")
     base = cmath.exp(1j * (b.phi - a.phi)) * math.sqrt(a.p * b.p) + math.sqrt(
         (1.0 - a.p) * (1.0 - b.p)
     )

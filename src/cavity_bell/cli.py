@@ -12,13 +12,16 @@ Subcommands produce the data files behind the usual plots and reports:
 Every command writes its output file plus a flat key-value manifest at
 <out>.manifest recording the command and resolved parameters, plus the seed
 for simulate, the one command that draws random numbers, so a run can be
-reproduced byte-identically. Each file is written to a temporary file beside
-it that replaces it only when complete, so a failed run leaves no file and
-an older one as it was. The CSV commands make, compute and write their grid
-one block of points at a time, so memory does not grow with the grid.
-Angles accept plain radians or multiples of pi such as "0.25pi". CSV output
-uses '.' decimals, twelve significant digits, LF line endings and a header
-row. Negative option values need the = form, e.g. --theta2=-0.3pi.
+reproduced byte-identically. Handlers only compute; ``main`` writes each
+run's output, then its manifest, then its stdout lines. Both files are
+written beside their paths and moved in, output first, once both are
+complete, so a failed run leaves no file and an older one as it was; if the
+manifest cannot be moved in, the output just moved in is removed. The CSV
+commands make, compute and write their grid one block of points at a time,
+so memory does not grow with the grid. Angles accept plain radians or
+multiples of pi such as "0.25pi". CSV output uses '.' decimals, twelve
+significant digits, LF line endings and a header row. Negative option
+values need the = form, e.g. --theta2=-0.3pi.
 
 This module imports only the standard library and ``constants``, so
 ``--help``, ``<command> --help`` and usage errors never load numpy or the
@@ -97,32 +100,42 @@ def fmt(value: float) -> str:
     return "%.12g" % (float(value) + 0.0)
 
 
-def _format_param(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt(value)
-    return str(value)
+@contextlib.contextmanager
+def _named(path: str):
+    # an OSError on path's file as the one-line refusal of --out
+    try:
+        yield
+    except OSError as exc:  # a temporary file's name is ours, not the user's
+        raise ValueError(f"out: cannot write {path}: {exc.strerror}") from None
 
 
 @contextlib.contextmanager
-def _output(path: str):
-    """Write through a temporary file beside path, moved onto path on success, else removed."""
-    temp = f"{path}.{os.getpid()}.tmp"
+def _output():
+    """Yield ``create(path)``, which opens a temporary file beside path; move
+    each onto its path in turn once the block ends. On any failure remove
+    every file made, a path already moved onto too.
+    """
+    made = []  # [file on disk, its path] of each file made
+
+    def create(path: str):
+        with _named(path):
+            handle = open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8", newline="\n")
+        made.append([handle.name, path])
+        return handle
+
     try:
-        handle = open(temp, "x", encoding="utf-8", newline="\n")
-    except OSError as exc:  # the temporary file's name is ours, not the user's
-        raise ValueError(f"out: cannot write {path}: {exc.strerror}") from None
-    try:
-        with handle:
-            yield handle
-        os.replace(temp, path)
+        yield create
+        for entry in made:
+            with _named(entry[1]):
+                os.replace(*entry)
+            entry[0] = entry[1]
     except BaseException:
-        os.remove(temp)
+        for name, _ in made:
+            os.remove(name)
         raise
 
 
-def _write_csv(path: str, header: str, chunks) -> int:
+def _write_csv(handle, header: str, chunks) -> int:
     """Write CSV rows with the precision of ``fmt``; return the number of rows.
 
     ``chunks`` yields a tuple of equal-length columns per block of the grid,
@@ -138,19 +151,22 @@ def _write_csv(path: str, header: str, chunks) -> int:
 
     row = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
     rows = 0
-    with _output(path) as handle:
-        handle.write(header + "\n")
-        for columns in chunks:
-            rows += len(columns[0])
-            for block in blocks(len(columns[0]), 8 * len(columns)):
-                cells = np.column_stack([column[block] for column in columns]) + 0.0  # as in fmt
-                handle.write((row * len(cells)) % tuple(cells.ravel().tolist()))
+    handle.write(header + "\n")
+    for columns in chunks:
+        rows += len(columns[0])
+        for block in blocks(len(columns[0]), 8 * len(columns)):
+            cells = np.column_stack([column[block] for column in columns]) + 0.0  # as in fmt
+            handle.write((row * len(cells)) % tuple(cells.ravel().tolist()))
     return rows
 
 
-def _write_keyvalue(path: str, items) -> None:
-    with _output(path) as handle:
-        handle.writelines(f"{key} = {_format_param(value)}\n" for key, value in items)
+def _write_keyvalue(handle, items) -> None:
+    for key, value in items:
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = fmt(value)
+        handle.write(f"{key} = {value}\n")
 
 
 #: Parsed options that are not ``param.*`` manifest lines: the subcommand and
@@ -158,8 +174,8 @@ def _write_keyvalue(path: str, items) -> None:
 _NOT_PARAMS = frozenset({"command", "handler", "out", "seed"})
 
 
-def write_manifest(args, results: dict | None = None) -> None:
-    """Write the run manifest next to the output file.
+def write_manifest(handle, args, results: dict) -> None:
+    """Write the run manifest of ``args`` and its ``result.*`` values.
 
     Every parsed option of the command except _NOT_PARAMS is one param.* line.
     The n_max line records the fixed Fock cutoff every command runs at.
@@ -171,8 +187,18 @@ def write_manifest(args, results: dict | None = None) -> None:
     items.append(("n_max", DEFAULT_N_MAX))
     items += [(f"param.{key}", params[key]) for key in sorted(params)]
     items.append(("output", args.out))
-    items += [(f"result.{key}", value) for key, value in sorted((results or {}).items())]
-    _write_keyvalue(args.out + ".manifest", items)
+    items += [(f"result.{key}", value) for key, value in sorted(results.items())]
+    _write_keyvalue(handle, items)
+
+
+class _Run:
+    """A command's run: a CSV ``header`` and the column blocks ``body`` yields,
+    or no header and key-value items; ``results`` (result.* values) and
+    ``lines`` (stdout), which ``main`` calls after writing the body.
+    """
+
+    def __init__(self, header, body, results=dict, lines=list):
+        self.header, self.body, self.results, self.lines = header, body, results, lines
 
 
 #: Options of the two-cavity state, in EntangledGbsParams field order.
@@ -198,7 +224,7 @@ def _bell_config(args):
     return preset_config(args.preset, args.eta, p=args.p, theta=args.theta)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> _Run:
     import numpy as np
 
     from .bell import (analytic_s_b, angle_preset, bell_function_operator_vs_eta, eta_for_degree,
@@ -211,30 +237,23 @@ def cmd_scan(args) -> int:
         raise ValueError(f"grid must lie within [0, 1], got {bad!r}")
     angles = angle_preset(args.preset, args.theta)  # eta >= 0 all along a G scan
     grid = (np.clip(g, 0.0, 1.0, out=g) for g in grid_blocks(start, step, count))
-    chunks = ((g, analytic_s_b(args.preset, g),
-               bell_function_operator_vs_eta(args.theta, eta_for_degree(g), angles, 0.5))
-              for g in grid)
-    rows = _write_csv(args.out, "G,s_b_analytic,s_b_operator", chunks)
-    write_manifest(args)
-    print(f"wrote {args.out} ({rows} rows)")
-    return 0
+    return _Run("G,s_b_analytic,s_b_operator",
+                ((g, analytic_s_b(args.preset, g),
+                  bell_function_operator_vs_eta(args.theta, eta_for_degree(g), angles, 0.5))
+                 for g in grid))
 
 
-def cmd_pscan(args) -> int:
+def cmd_pscan(args) -> _Run:
     from .bell import PArgmax, angle_preset, bell_function_vs_p, p_grid
 
     angles = angle_preset(args.preset, args.theta, args.eta)
     best = PArgmax()
     chunks = ((ps, best.add(ps, bell_function_vs_p(args.theta, args.eta, angles, ps)))
               for ps in p_grid(args.step))  # p_grid checks the step here, before any block
-    rows = _write_csv(args.out, "p,s_b", chunks)
-    write_manifest(args, {"p_star": best.p})
-    print(f"p_star = {fmt(best.p)}")
-    print(f"wrote {args.out} ({rows} rows)")
-    return 0
+    return _Run("p,s_b", chunks, lambda: {"p_star": best.p}, lambda: [f"p_star = {fmt(best.p)}"])
 
 
-def cmd_covariance(args) -> int:
+def cmd_covariance(args) -> _Run:
     from .fields import FieldStats, field_covariance, field_covariance_operator
 
     params = _state_params(args)
@@ -242,13 +261,10 @@ def cmd_covariance(args) -> int:
     items = _echo(args, STATE_OPTIONS) + [(f"{name}_{route}", getattr(stats, name))
                                           for name in FieldStats._fields
                                           for route, stats in routes.items()]
-    _write_keyvalue(args.out, items)
-    write_manifest(args)
-    print(f"covariance = {fmt(routes['analytic'].covariance)}")
-    return 0
+    return _Run(None, items, lines=lambda: [f"covariance = {fmt(routes['analytic'].covariance)}"])
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> _Run:
     from .bell import bell_function, violation_threshold
     from .dynamics import ExperimentConfig, detection_threshold_check, run_bell_experiment
 
@@ -256,13 +272,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"shots must be at least 100, got {args.shots}")
     report = detection_threshold_check(args.alpha)
     config = _bell_config(args)
-    experiment = ExperimentConfig(
-        bell=config,
-        shots=args.shots,
-        seed=args.seed,
-        detector_efficiency=args.alpha,
-    )
-    estimate = run_bell_experiment(experiment)
+    estimate = run_bell_experiment(ExperimentConfig(config, args.shots, args.seed, args.alpha))
     analytic = bell_function(config)
     items = _echo(args, COMMANDS["simulate"][1]) + [
         ("alpha_threshold", report.alpha_threshold),
@@ -274,64 +284,38 @@ def cmd_simulate(args) -> int:
         ("discarded_shots", estimate.discarded_shots),
     ]
     items += [(f"note.{key}", text) for key, text in estimate.notes]
-    for index, setting in enumerate(estimate.settings, start=1):
-        prefix = f"setting.{index}"
-        items.extend(
-            [
-                (f"{prefix}.phi_a", setting.phi_a),
-                (f"{prefix}.phi_b", setting.phi_b),
-                (f"{prefix}.correlation", setting.correlation),
-                (f"{prefix}.std_error", setting.std_error),
-                (f"{prefix}.retained", setting.retained),
-            ]
-        )
-    _write_keyvalue(args.out, items)
-    write_manifest(args, {"s_b_hat": estimate.s_b_hat, "std_error": estimate.std_error})
-    print(f"s_b_hat = {fmt(estimate.s_b_hat)} +/- {fmt(estimate.std_error)}"
-          f" (analytic {fmt(analytic)})")
-    return 0
+    items += [(f"setting.{index}.{key}", getattr(setting, key))
+              for index, setting in enumerate(estimate.settings, start=1)
+              for key in ("phi_a", "phi_b", "correlation", "std_error", "retained")]
+    return _Run(None, items, lambda: {"s_b_hat": estimate.s_b_hat, "std_error": estimate.std_error},
+                lambda: [f"s_b_hat = {fmt(estimate.s_b_hat)} +/- {fmt(estimate.std_error)}"
+                         f" (analytic {fmt(analytic)})"])
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> _Run:
     from .dynamics import InitialAtomPair, generate_entangled_gbs
     from .fields import entangled_gbs_state
     from .fock import fidelity
 
     params = _state_params(args)
-    result = generate_entangled_gbs(
-        InitialAtomPair(params.eta),
-        params.p1,
-        params.theta1,
-        params.p2,
-        params.theta2,
-    )
+    result = generate_entangled_gbs(InitialAtomPair(params.eta), params.p1, params.theta1,
+                                    params.p2, params.theta2)
     fid = fidelity(result.field, entangled_gbs_state(params))
-    probs = result.atom_probabilities
-    items = _echo(args, STATE_OPTIONS) + [
-        ("fidelity", fid),
-        ("prob_down_down", float(probs[0, 0])),
-        ("prob_down_up", float(probs[0, 1])),
-        ("prob_up_down", float(probs[1, 0])),
-        ("prob_up_up", float(probs[1, 1])),
-    ]
-    _write_keyvalue(args.out, items)
-    write_manifest(args, {"fidelity": fid})
-    print(f"fidelity = {fmt(fid)}")
-    return 0
+    probs = result.atom_probabilities  # [atom 1, atom 2], each down or up
+    items = _echo(args, STATE_OPTIONS) + [("fidelity", fid)] + [
+        (f"prob_{a}_{b}", probs[i, j])
+        for i, a in enumerate(("down", "up")) for j, b in enumerate(("down", "up"))]
+    return _Run(None, items, lambda: {"fidelity": fid}, lambda: [f"fidelity = {fmt(fid)}"])
 
 
-def cmd_sensitivity(args) -> int:
+def cmd_sensitivity(args) -> _Run:
     from .dynamics import ExperimentConfig, timing_sensitivity
 
     errors = parse_value_list(args.epsilons)
     # The sweep draws no random numbers; shots and seed only fill the config.
     experiment = ExperimentConfig(bell=_bell_config(args), shots=1, seed=0)
     sweep = (timing_sensitivity(experiment, block) for block in errors)
-    rows = _write_csv(args.out, "epsilon,fidelity,s_b",
-                      ((block.epsilon, block.fidelity, block.s_b) for block in sweep))
-    write_manifest(args)
-    print(f"wrote {args.out} ({rows} rows)")
-    return 0
+    return _Run("epsilon,fidelity,s_b", ((b.epsilon, b.fidelity, b.s_b) for b in sweep))
 
 
 #: Every option of the commands, by name: its argparse keywords. "preset"
@@ -390,7 +374,18 @@ def main(argv=None) -> int:
     from . import bell, binomial, dynamics, fields, fock  # noqa: F401
 
     try:
-        return args.handler(args)
+        run = args.handler(args)
+        with _output() as create:
+            with create(args.out) as out:
+                rows = (_write_csv(out, run.header, run.body) if run.header
+                        else _write_keyvalue(out, run.body))
+            with create(args.out + ".manifest") as manifest:
+                write_manifest(manifest, args, run.results())
+        for line in run.lines():
+            print(line)
+        if run.header:
+            print(f"wrote {args.out} ({rows} rows)")
+        return 0
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

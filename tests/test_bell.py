@@ -68,7 +68,8 @@ def test_dichotomic_operator_spectrum():
 
 @pytest.mark.parametrize("n_max", (0, -1))
 def test_dichotomic_operator_refuses_a_cutoff_below_one_photon(n_max):
-    with pytest.raises(ValueError, match=f"^n_max must be an integer >= 1, got {n_max}$"):
+    rule = r"must be an integer in \[1, 1024\]"
+    with pytest.raises(ValueError, match=rf"^n_max {rule}, got {n_max}$"):
         dichotomic_operator(DichotomicParams(0.3, 0.9), n_max=n_max)
 
 
@@ -362,7 +363,7 @@ def test_scan_oracle_at_large_cutoff():
     assert np.max(np.abs(s_b - analytic_s_b("maximal", degrees))) <= 1e-12
     assert peak <= 2**26, peak
     # a cutoff below one photon cannot hold the Bernoulli states
-    with pytest.raises(ValueError, match="^n_max must be an integer >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^n_max must be an integer in \[1, 1024\], got 0$"):
         bell_function_operator(preset_config("maximal", 0.5), 0)
 
 
@@ -600,8 +601,8 @@ CHECKED = (
 COUNT_FAULTS = {
     "shots": ((0, 2**63, 1000.7, True), "must be an integer in [1, 2**63 - 1]"),
     "seed": ((-1, 2**64, 1.9), "must be an integer in [0, 2**64)"),
-    "n": ((-1, 1.5), "must be an integer >= 0"),
-    "n_max": ((0,), "must be an integer >= 1"),
+    "n": ((-1, 1.5, 65, 10**400), "must be an integer in [0, 64]"),
+    "n_max": ((0, 1025, 2**63 - 1), "must be an integer in [1, 1024]"),
     "cavity": ((3,), "must be 1 or 2"),
 }
 
@@ -611,7 +612,7 @@ def one_fault_cases():
         for name, good in fields.items():
             if name in COUNT_FAULTS:
                 bads, rule = COUNT_FAULTS[name]
-                faults = [(repr(bad), bad, rule) for bad in bads]
+                faults = [("10**400" if bad == 10**400 else repr(bad), bad, rule) for bad in bads]
             elif isinstance(good, float):
                 # an int beyond the float range is no finite float either
                 faults = [(bad, float(bad), "must be finite") for bad in ("nan", "inf", "-inf")]

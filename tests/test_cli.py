@@ -1,6 +1,8 @@
 """Command-line interface: parsing, file formats, manifests, exit codes."""
 
 import argparse
+import ast
+import collections
 import gc
 import hashlib
 import json
@@ -511,6 +513,34 @@ def test_simulate_loads_no_numpy_random(tmp_path):
     assert not modules & {"numpy.random", "secrets", "hmac", "_hashlib"}
 
 
+@pytest.mark.parametrize("command", COMMANDS, ids=[command[0] for command in COMMANDS])
+def test_a_handler_returns_its_run_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(command + ["--out", "out"])
+    run = args.handler(args)
+    assert isinstance(run, cli._Run)
+    # a CSV's blocks stay a stream, which only the writer consumes
+    assert run.header is None or iter(run.body) is run.body
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_is_the_one_writer():
+    # only main writes the output and the manifest and prints; write_manifest
+    # writes its items through _write_keyvalue
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    callers = collections.defaultdict(set)
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers[node.func.id].add(function.name)
+    writers = ("_write_csv", "_write_keyvalue", "write_manifest", "print")
+    assert {name: callers[name] for name in writers} == {
+        "_write_csv": {"main"}, "_write_keyvalue": {"main", "write_manifest"},
+        "write_manifest": {"main"}, "print": {"main"}}
+
+
 def test_memory_error_is_reported(tmp_path, monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 385. GiB")
@@ -755,13 +785,31 @@ def test_a_failed_grid_run_leaves_no_file(tmp_path, monkeypatch, capsys, command
         assert read(out) == "kept\n"
 
 
-@pytest.mark.parametrize("command", [["covariance"], ["scan", "maximal"]], ids=["report", "csv"])
-def test_an_out_in_a_missing_directory_is_one_error_line(tmp_path, capsys, command):
-    out = tmp_path / "missing" / "x"
-    assert main(command + ["--out", str(out)]) == 1
+#: An --out that cannot be written: the command, a directory made first, the
+#: --out, the path the error names and why it cannot be written.
+UNWRITABLE = {
+    "report": (["covariance"], None, "missing/x", "missing/x", "No such file or directory"),
+    "csv": (["scan", "maximal"], None, "missing/x", "missing/x", "No such file or directory"),
+    # the whole grid is written, then cannot be moved onto the directory
+    "csv-onto-a-directory": (["scan", "maximal"], "x", "x", "x", "Is a directory"),
+    # the output is moved in, then the manifest cannot be, so the output goes too
+    "report-manifest-onto-a-directory": (["covariance"], "x.manifest", "x", "x.manifest",
+                                         "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("command, made, out, named, reason", list(UNWRITABLE.values()),
+                         ids=list(UNWRITABLE))
+def test_an_out_in_a_missing_directory_is_one_error_line(tmp_path, capsys, command, made, out,
+                                                         named, reason):
+    if made:
+        (tmp_path / made).mkdir()
+    assert main(command + ["--out", str(tmp_path / out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: out: cannot write {out}: No such file or directory\n"
-    assert list(tmp_path.iterdir()) == []
+    assert err == f"error: out: cannot write {tmp_path / named}: {reason}\n"
+    # no output and no temporary file is left; a directory made stays, empty
+    assert [path.name for path in tmp_path.iterdir()] == ([made] if made else [])
+    assert not made or list((tmp_path / made).iterdir()) == []
 
 
 @pytest.mark.parametrize(
