@@ -24,7 +24,8 @@ import math
 
 import numpy as np
 
-from .binomial import Checked, GbsParams, check_fields, gbs_state, orthogonal_partner, wrap_angle
+from .binomial import (Checked, GbsParams, check_fields, check_floats, gbs_state,
+                       orthogonal_partner, wrap_angle)
 from .constants import MAX_GRID_POINTS, PRESETS
 from .fields import EntangledGbsParams, cross_weight, entangled_branches, superpose
 from .fock import DEFAULT_N_MAX, NORM_TOL, FieldOperator, Frozen, StateVector, pair_expectation
@@ -131,7 +132,8 @@ def dichotomic_operator(d: GbsParams, n_max: int = DEFAULT_N_MAX) -> FieldOperat
 def dichotomic_gbs_matrix(p: float, phi: float, phi_prime: float) -> GbsBasisMatrix:
     """Matrix elements of F_p(phi') in the basis pair defined at phase phi."""
     check_fields((("p", p), ("phi", phi), ("phi_prime", phi_prime)))
-    delta = phi_prime - phi
+    # plain floats, as the value types store them; the wrapped difference stays finite
+    p, delta = float(p), wrap_angle(phi_prime) - wrap_angle(phi)
     half = math.sin(0.5 * delta) ** 2
     f11 = 1.0 - 8.0 * p * (1.0 - p) * half
     f12 = 2.0 * math.sqrt(p * (1.0 - p)) * (
@@ -156,7 +158,8 @@ def dichotomic_eigenstates(
 
 def degree_of_entanglement(eta: float) -> float:
     """G = 2|eta| / (1 + eta^2), from 0 (product) to 1 (maximally entangled)."""
-    return 2.0 * abs(cross_weight(eta))
+    check_fields((("eta", eta),))
+    return 2.0 * abs(cross_weight(float(eta)))
 
 
 def eta_for_degree(g):
@@ -166,8 +169,7 @@ def eta_for_degree(g):
     other root is its reciprocal and describes the same amount of
     entanglement. g may be a float or an array; G = 0 gives eta = 0.
     """
-    degrees = np.asarray(g, dtype=float)
-    check_fields((("degree of entanglement", degrees),))
+    degrees = check_floats("degree of entanglement", g)
     eta = (1.0 - np.sqrt(1.0 - degrees * degrees)) / np.where(degrees == 0.0, 1.0, degrees)
     return eta if eta.ndim else float(eta)
 
@@ -247,8 +249,7 @@ def bell_function_vs_p(
     p_grid at a time, so the vector stays small.
     """
     config = BellConfig(0.5, theta, eta, *angles)  # checks theta, eta and the angles
-    ps = np.atleast_1d(np.asarray(p_values, dtype=float))
-    check_fields((("p", ps),))
+    ps = np.atleast_1d(check_floats("p", p_values))
     return chsh(*_correlations(ps, config.theta, cross_weight(config.eta), config.settings))
 
 
@@ -268,8 +269,7 @@ def bell_function_operator_vs_eta(
     d^2 x d^2 joint operator is never formed.
     """
     config = BellConfig(p, theta, 0.0, *angles)  # checks p, theta and the angles
-    etas = np.atleast_1d(np.asarray(eta, dtype=float))
-    check_fields((("eta", etas),))
+    etas = np.atleast_1d(check_floats("eta", eta))
     p, settings = config.p, config.settings
     state = GbsParams(p, config.theta)
     branches = entangled_branches(state, state, n_max)
@@ -387,7 +387,8 @@ def optimal_p_scan(
     theta: float, eta: float, angles: tuple[float, float, float, float], step: float = 0.005
 ) -> float:
     """Grid-scan p in [0, 1] for the maximum of S_B."""
+    check_fields((("step", step),))
     best = PArgmax()
-    for ps in p_grid(step):
+    for ps in p_grid(float(step)):
         best.add(ps, bell_function_vs_p(theta, eta, angles, ps))
     return best.p

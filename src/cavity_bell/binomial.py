@@ -93,17 +93,30 @@ def check_fields(fields) -> None:
             raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
+def check_floats(name: str, values) -> np.ndarray:
+    """``values`` as a float array, each point checked as input ``name`` (check_fields)."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:  # an int past the float range, which numpy cannot convert
+        check_fields((name, x) for x in np.ravel(np.asarray(values, dtype=object)))
+        raise
+    check_fields(((name, array),))
+    return array
+
+
 class Checked(Frozen):
     """A value type of inputs, each field checked by its name (check_fields).
 
     Fields are stored as floats, counts as ints and angles (named theta...,
-    phi...) through wrap_angle.
+    phi...) through wrap_angle. A field that holds a Checked value (the bell
+    of dynamics.ExperimentConfig) was checked when that value was made.
     """
 
     def __post_init__(self):
         values = self.__dict__
-        check_fields(values.items())
-        for name, value in values.items():
+        inputs = [(name, value) for name, value in values.items() if not isinstance(value, Checked)]
+        check_fields(inputs)
+        for name, value in inputs:
             values[name] = (wrap_angle(value) if name.startswith(("theta", "phi"))
                             else int(value) if name in _COUNTS else float(value))
 

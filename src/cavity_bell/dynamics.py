@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .bell import BellConfig, blocks, chsh
-from .binomial import Checked, GbsParams, check_fields
+from .binomial import Checked, GbsParams, check_fields, check_floats
 from .fields import EntangledGbsParams, entangled_gbs_state, norm_const
 from .fock import DEFAULT_N_MAX, Frozen, RandomStream, StateVector, TwoCavityState, braket
 
@@ -198,9 +198,11 @@ def generate_entangled_gbs(
     with probability one and the cavities carry the entangled two-cavity
     Bernoulli state with parameters (p1, theta1, p2, theta2) and weight
     eta, up to a global phase. Raises ValueError, naming the field, unless
-    both p lie in [0, 1] and all five parameters are finite.
+    both p lie in [0, 1], all five parameters are finite and n_max is an
+    integer in [1, 1024].
     """
     params = EntangledGbsParams(p1=p1, p2=p2, theta1=theta1, theta2=theta2, eta=pair.eta)
+    check_fields((("n_max", n_max),))
     pulses = _jc_stack(np.array([PROBE_PULSE_AREA]), n_max)
     joint = _generation_joint(_rotated_pair(params, n_max + 1), pulses)[0]
     probs = np.sum(np.abs(joint) ** 2, axis=(2, 3))
@@ -210,17 +212,13 @@ def generate_entangled_gbs(
     return GenerationResult(field=TwoCavityState(ground / weight), atom_probabilities=probs)
 
 
-class ExperimentConfig(Frozen):
+class ExperimentConfig(Checked):
     """Seeded Monte Carlo Bell run: state, settings, shot budget, detectors."""
 
     bell: BellConfig
     shots: int
     seed: int
     detector_efficiency: float = 1.0
-
-    def __post_init__(self):
-        check_fields((("shots", self.shots), ("seed", self.seed),
-                      ("detector_efficiency", self.detector_efficiency)))
 
 
 class SettingEstimate(Frozen):
@@ -433,6 +431,7 @@ def detection_threshold_check(alpha: float) -> DetectionReport:
     hide a local model.
     """
     check_fields((("alpha", alpha),))
+    alpha = float(alpha)  # stored as Checked stores it
     return DetectionReport(
         alpha=alpha,
         alpha_threshold=ALPHA_THRESHOLD,
@@ -454,8 +453,7 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> np.recarray:
     record per error, with the fields epsilon, fidelity and s_b, which are
     also the three columns of the sensitivity CSV.
     """
-    epsilons = np.asarray(relative_errors, dtype=float)
-    check_fields((("epsilons", epsilons),))
+    epsilons = check_floats("epsilons", relative_errors)
     rows = np.recarray(epsilons.size, [("epsilon", float), ("fidelity", float), ("s_b", float)])
     rows.epsilon = epsilons
     # field views taken once: each recarray attribute lookup builds a new view

@@ -165,6 +165,9 @@ def quadrature(n_max: int = DEFAULT_N_MAX) -> FieldOperator:
     Equals the single-mode electric field at the cavity center in units
     where sqrt(4 pi hbar omega / V) = 1 and the mode function is 1.
     """
+    from .binomial import check_fields  # binomial imports this module
+
+    check_fields((("n_max", n_max),))
     ladder = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
     return FieldOperator(ladder + ladder.T)
 

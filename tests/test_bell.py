@@ -157,12 +157,13 @@ def test_degree_of_entanglement():
     assert math.isclose(degree_of_entanglement(2.0), 0.8, abs_tol=1e-14)
     assert math.isclose(degree_of_entanglement(0.5), 0.8, abs_tol=1e-14)
     assert math.isclose(degree_of_entanglement(-1.0), 1.0, abs_tol=1e-14)
-    # eta is squared as eta * eta, which goes to inf (G = 0) where eta**2 overflows
-    assert degree_of_entanglement(1e160) == 0.0
     assert degree_of_entanglement(1e-160) == 2e-160
-    # G = 2 |eta/(1+eta^2)|: no 2 |eta| to overflow and divide inf by inf
-    assert degree_of_entanglement(1e308) == 0.0
-    assert degree_of_entanglement(-1.7e308) == 0.0
+    # eta is checked as the state's eta: its square must be finite
+    assert math.isclose(degree_of_entanglement(-1e154), 2e-154, rel_tol=1e-14)
+    for eta in (1e160, 1e308, -1.7e308):
+        with pytest.raises(ValueError) as info:
+            degree_of_entanglement(eta)
+        assert str(info.value) == f"eta must have a finite square, got {eta!r}"
 
 
 def test_eta_degree_roundtrip():

@@ -288,75 +288,56 @@ COMMANDS = (
 )
 
 
-def test_error_exit_codes(tmp_path, capsys):
+def refusals():
+    """The rows of tests/refusals.txt: the option each names, and its command line.
+
+    A row is split into words as CI's ``read -r`` splits it; lines that start
+    with ``#`` and blank lines are skipped.
+    """
+    rows = []
+    for line in read(Path(__file__).with_name("refusals.txt")).splitlines():
+        words = line.split()
+        if words and not words[0].startswith("#"):
+            rows.append((words[0], words[1:]))
+    return rows
+
+
+REFUSALS = refusals()
+
+
+def test_refusals_table_names_real_options():
+    assert len(REFUSALS) >= 47  # the rows the table was written with: none is dropped
+    for field, argv in REFUSALS:
+        assert argv[0] in cli.COMMANDS, argv
+        assert field in cli.COMMANDS[argv[0]][1], (field, argv)
+    lines = [(field, *argv) for field, argv in REFUSALS]
+    assert len(set(lines)) == len(lines), [line for line in lines if lines.count(line) > 1]
+    assert {argv[0] for _, argv in REFUSALS} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize(("field", "argv"), REFUSALS, ids=[" ".join(argv) for _, argv in REFUSALS])
+def test_refused_input_names_its_option(tmp_path, capsys, field, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith((f"error: {field} ", f"error: {field}:")) and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []  # no output, manifest or temporary file
+
+
+def test_error_exit_codes(tmp_path):
+    # refused values exit 1 (tests/refusals.txt); usage errors exit 2
     out = tmp_path / "x"
-    failing = [
-        ["simulate", "maximal", "--shots", "50"],
-        ["pscan", "maximal", "--step", "0.3"],
-        # non-finite inputs must fail instead of writing NaN or made-up rows
-        ["simulate", "maximal", "--theta", "nan"],
-        ["simulate", "maximal", "--eta", "inf"],
-        ["scan", "maximal", "--theta", "nan"],
-        ["generate", "--theta1", "nan"],
-        ["pscan", "maximal", "--eta", "nan"],
-        ["pscan", "maximal", "--step", "inf"],
-        ["scan", "maximal", "--grid", "0:inf:0.1"],
-        ["sensitivity", "maximal", "--epsilons=0:inf:0.1"],
-        # grids past MAX_GRID_POINTS are refused before anything is allocated
-        ["scan", "maximal", "--grid", "0:1:1e-12"],
-        ["pscan", "maximal", "--step", "1e-9"],
-        ["scan", "maximal", "--grid", "0:1:5e-324"],
-        ["pscan", "maximal", "--step", "5e-324"],
+    usage_errors = [
+        ["scan", "unknown-preset", "--out", str(out)],
+        ["scan", "maximal"],  # --out is required
+        ["scan", "maximal", "--seed", "1", "--out", str(out)],  # seed is simulate-only
+        # the Fock cutoff is fixed (tests/test_properties.py::test_fock_cutoff_is_inert)
+        *(command + ["--n-max", "2", "--out", str(out)] for command in COMMANDS),
     ]
-    # values past what the arithmetic holds are refused by name
-    named = [
-        # eta**2 overflows
-        (["covariance", "--eta", "1e200"], "eta"),
-        (["covariance", "--eta=-1e155"], "eta"),
-        (["simulate", "maximal", "--eta", "1e300", "--shots", "100"], "eta"),
-        (["generate", "--eta", "1e300"], "eta"),
-        (["pscan", "maximal", "--eta", "1e200"], "eta"),
-        (["sensitivity", "maximal", "--eta", "1e200"], "eta"),
-        # the multinomial counts are int64
-        (["simulate", "maximal", "--shots", str(2**63)], "shots"),
-        # an infinite phase is refused before the preset ladder reduces it
-        (["scan", "maximal", "--theta", "inf"], "theta"),
-        (["pscan", "maximal", "--theta=-inf"], "theta"),
-        (["simulate", "maximal", "--theta", "1e400"], "theta"),
-        (["sensitivity", "maximal", "--theta", "1e308pi"], "theta"),
-        # timing errors outside (-0.5, 0.5), from a list or a grid
-        (["sensitivity", "maximal", "--epsilons", "nan"], "epsilons"),
-        (["sensitivity", "maximal", "--epsilons", "0,0.5"], "epsilons"),
-        (["sensitivity", "maximal", "--epsilons=-0.1:0.6:0.1"], "epsilons"),
-        # detector efficiencies outside [0, 1]
-        (["simulate", "maximal", "--alpha", "1.5"], "alpha"),
-        (["simulate", "maximal", "--alpha", "nan"], "alpha"),
-        (["simulate", "maximal", "--alpha=-0.1"], "alpha"),
-        # grid specs and value lists that do not parse name their option
-        (["sensitivity", "maximal", "--epsilons=abc"], "epsilons"),
-        (["sensitivity", "maximal", "--epsilons="], "epsilons"),
-        (["sensitivity", "maximal", "--epsilons=0:0.1"], "epsilons"),
-        (["scan", "maximal", "--grid", "0:1:abc"], "grid"),
-        # G grids reaching outside [0, 1], past either end
-        (["scan", "maximal", "--grid", "0:2:0.5"], "grid"),
-        (["scan", "maximal", "--grid=-0.5:0.5:0.1"], "grid"),
-    ]
-    for argv, field in [(argv, "") for argv in failing] + named:
-        assert main(argv + ["--out", str(out)]) == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {field}") and err.count("\n") == 1, err
-    assert not out.exists()
-    with pytest.raises(SystemExit):
-        main(["scan", "unknown-preset", "--out", str(out)])
-    with pytest.raises(SystemExit):
-        main(["scan", "maximal"])  # --out is required
-    with pytest.raises(SystemExit):
-        main(["scan", "maximal", "--seed", "1", "--out", str(out)])  # seed is simulate-only
-    # the Fock cutoff is fixed (tests/test_properties.py::test_fock_cutoff_is_inert)
-    for command in COMMANDS:
+    for argv in usage_errors:
         with pytest.raises(SystemExit) as usage:
-            main(command + ["--n-max", "2", "--out", str(out)])
-        assert usage.value.code == 2
+            main(argv)
+        assert usage.value.code == 2, argv
+    assert not out.exists()
 
 
 def readme_command_lines():

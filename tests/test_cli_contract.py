@@ -8,9 +8,13 @@ temporary file is left behind. The options and presets are drawn from
 ``build_parser()``, so a new one is covered without editing this test; a
 new option type needs a pool in POOLS.
 
-Every call of a public value type or scalar function on the same edge
-values, read as numbers, returns or raises one ``ValueError`` that starts
-with the name of one of its fields.
+Every call of a public value type, scalar function or state and operator
+constructor on the same edge values, read as numbers, raises one
+``ValueError`` that starts with the name of one of its fields, and does so
+whenever ``check_fields`` refuses a field by its name. Otherwise it returns a value whose every number is
+finite and whose input fields are kept as plain floats and ints. The
+refused command lines that must exit 1 are listed once, in
+tests/refusals.txt.
 """
 
 import argparse
@@ -24,11 +28,17 @@ import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from cavity_bell.bell import BellConfig
-from cavity_bell.binomial import BinomialParams, GbsParams, binomial_overlap, binomial_state
+from cavity_bell.bell import (BellConfig, analytic_s_b, angle_preset, bell_correlation,
+                              degree_of_entanglement, dichotomic_eigenstates, dichotomic_gbs_matrix,
+                              dichotomic_operator, eta_for_degree, optimal_p_scan, preset_config)
+from cavity_bell.binomial import (BinomialParams, GbsParams, binomial_overlap, binomial_state,
+                                  check_fields)
 from cavity_bell.cli import build_parser, main, parse_angle
-from cavity_bell.dynamics import ExperimentConfig, InitialAtomPair
-from cavity_bell.fields import EntangledGbsParams
+from cavity_bell.dynamics import (ExperimentConfig, InitialAtomPair, detection_threshold_check,
+                                  generate_entangled_gbs, timing_sensitivity)
+from cavity_bell.fields import (EntangledGbsParams, field_covariance_operator,
+                                field_expectation_operator)
+from cavity_bell.fock import Frozen, quadrature
 
 #: Edge values of a number option: non-finite, past the square's range,
 #: subnormal, one ulp off a round value, and text that is no number.
@@ -110,8 +120,6 @@ def numbers(text: str) -> list:
 
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(command_lines())
-@example(["simulate", "maximal", "--alpha=0"])  # no shot retained: the line names shots
-@example(["simulate", "maximal", "--eta=5e-324", "--alpha=5e-324"])  # subnormal cell probabilities
 def test_every_command_line_keeps_the_error_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -148,23 +156,59 @@ VALUES = (
 )
 
 BINOMIAL = {"n": 2, "p": 0.4, "phi": 0.3}
-BELL = {"p": 0.5, "theta": 0.3, "eta": 0.7, "phi1": 0.0, "phi2": 0.8, "phi1_prime": 1.6,
-        "phi2_prime": 2.4}
+GBS = {"p": 0.4, "phi": 0.3}
+STATE = {"p1": 0.3, "p2": 0.8, "theta1": 0.8, "theta2": -0.9, "eta": -0.7}
+ANGLES = {"phi1": 0.0, "phi2": 0.8, "phi1_prime": 1.6, "phi2_prime": 2.4}
+BELL = {"p": 0.5, "theta": 0.3, "eta": 0.7, **ANGLES}
+RUN = {"shots": 10, "seed": 3, "detector_efficiency": 0.9}
+CUTOFF = {"n_max": 3}
+DEGREE = {"degree of entanglement": 0.6}
 #: Each call under the contract: a function of field dicts, and the good
 #: value of each field of each dict it takes.
 CALLS = {
     "BinomialParams": (lambda a: BinomialParams(**a), [BINOMIAL]),
-    "GbsParams": (lambda a: GbsParams(**a), [{"p": 0.4, "phi": 0.3}]),
-    "EntangledGbsParams": (lambda a: EntangledGbsParams(**a),
-                           [{"p1": 0.3, "p2": 0.8, "theta1": 0.8, "theta2": -0.9, "eta": -0.7}]),
+    "GbsParams": (lambda a: GbsParams(**a), [GBS]),
+    "EntangledGbsParams": (lambda a: EntangledGbsParams(**a), [STATE]),
     "BellConfig": (lambda a: BellConfig(**a), [BELL]),
     "InitialAtomPair": (lambda a: InitialAtomPair(**a), [{"eta": 0.7}]),
-    "ExperimentConfig": (lambda bell, a: ExperimentConfig(BellConfig(**bell), **a),
-                         [BELL, {"shots": 10, "seed": 3, "detector_efficiency": 0.9}]),
+    "ExperimentConfig": (lambda bell, a: ExperimentConfig(BellConfig(**bell), **a), [BELL, RUN]),
     "binomial_state": (lambda state, a: binomial_state(BinomialParams(**state), **a),
-                       [BINOMIAL, {"n_max": 3}]),
+                       [BINOMIAL, CUTOFF]),
     "binomial_overlap": (lambda a, b: binomial_overlap(BinomialParams(**a), BinomialParams(**b)),
                          [BINOMIAL, BINOMIAL]),
+    "degree_of_entanglement": (lambda a: degree_of_entanglement(**a), [{"eta": 0.7}]),
+    "eta_for_degree": (lambda a: eta_for_degree(*a.values()), [DEGREE]),
+    "analytic_s_b": (lambda a: analytic_s_b("wide", *a.values()), [DEGREE]),
+    "angle_preset": (lambda a: angle_preset("wide", **a), [{"theta": 0.3, "eta_sign": -1.0}]),
+    "preset_config": (lambda a: preset_config("maximal", **a),
+                      [{"eta": 0.7, "p": 0.4, "theta": 0.3}]),
+    # phi_a and phi_b are refused by BellConfig's names for them, phi1 and phi2
+    "bell_correlation": (lambda bell, a: bell_correlation(BellConfig(**bell), **a),
+                         [BELL, {"phi_a": 0.2, "phi_b": -1.1}]),
+    "dichotomic_gbs_matrix": (lambda a: dichotomic_gbs_matrix(**a),
+                              [{"p": 0.4, "phi": 0.3, "phi_prime": 1.2}]),
+    "dichotomic_eigenstates": (lambda a: dichotomic_eigenstates(**a),
+                               [{"p": 0.4, "phi": 0.3, "phi_prime": 1.2, **CUTOFF}]),
+    "dichotomic_operator": (lambda d, a: dichotomic_operator(GbsParams(**d), **a), [GBS, CUTOFF]),
+    "quadrature": (lambda a: quadrature(**a), [CUTOFF]),
+    "field_covariance_operator": (
+        lambda state, a: field_covariance_operator(EntangledGbsParams(**state), **a),
+        [STATE, CUTOFF]),
+    "field_expectation_operator": (
+        lambda state, a: field_expectation_operator(EntangledGbsParams(**state), **a),
+        [STATE, {"cavity": 2, **CUTOFF}]),
+    "generate_entangled_gbs": (
+        lambda pair, a: generate_entangled_gbs(InitialAtomPair(**pair), **a),
+        [{"eta": 0.7}, {"p1": 0.3, "theta1": 0.8, "p2": 0.8, "theta2": -0.9, **CUTOFF}]),
+    "detection_threshold_check": (lambda a: detection_threshold_check(**a), [{"alpha": 0.9}]),
+    "timing_sensitivity": (
+        lambda bell, run, a: timing_sensitivity(ExperimentConfig(BellConfig(**bell), **run),
+                                                [a["epsilons"], 0.0]),
+        [BELL, RUN, {"epsilons": 0.02}]),
+    "optimal_p_scan": (
+        lambda a, angles: optimal_p_scan(a["theta"], a["eta"], [angles[name] for name in ANGLES],
+                                         a["step"]),
+        [{"theta": 0.3, "eta": 0.7, "step": 0.1}, ANGLES]),
 }
 
 
@@ -181,14 +225,74 @@ def library_calls(draw):
     return call, [draw(edge_fields(good)) for good in CALLS[call][1]]
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+def edge(call: str, fields: dict) -> tuple:
+    """A case of ``call`` at its good fields but ``fields``."""
+    return call, [{name: fields.get(name, value) for name, value in good.items()}
+                  for good in CALLS[call][1]]
+
+
+#: Fields that take any number: a sign, NaN included (bell.angle_preset).
+ANY_NUMBER = {"eta_sign"}
+
+
+def refused(name: str, value) -> bool:
+    """Whether check_fields refuses ``value`` as input ``name``."""
+    try:
+        check_fields(((name, value),))
+    except ValueError:
+        return True
+    return False
+
+
+def finite(value) -> bool:
+    """Whether every number in ``value`` is finite: its fields, items, records and elements."""
+    if isinstance(value, Frozen):
+        value = list(vars(value).values())
+    elif isinstance(value, np.ndarray) and value.dtype.names:
+        value = [value[name] for name in value.dtype.names]
+    if isinstance(value, (tuple, list)):
+        return all(map(finite, value))
+    return bool(np.all(np.isfinite(value)))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
 @given(library_calls())
-@example(("binomial_overlap", [{"n": 10**400, "p": 0.5, "phi": 0.0}] * 2))  # past the float range
+@example(edge("binomial_overlap", {"n": 10**400}))  # past the float range
+# the calls that broke the contract before they checked their inputs
+@example(edge("degree_of_entanglement", {"eta": math.nan}))
+@example(edge("degree_of_entanglement", {"eta": math.inf}))
+@example(edge("degree_of_entanglement", {"eta": 1e200}))
+@example(edge("degree_of_entanglement", {"eta": 10**400}))
+@example(edge("eta_for_degree", {"degree of entanglement": 10**400}))
+@example(edge("timing_sensitivity", {"epsilons": 10**400}))
+@example(edge("optimal_p_scan", {"step": 10**400}))
+@example(edge("generate_entangled_gbs", {"n_max": 2.0}))
+@example(edge("generate_entangled_gbs", {"n_max": 0}))
+@example(edge("field_covariance_operator", {"n_max": 2.0}))
+@example(edge("quadrature", {"n_max": -1.0}))
+@example(edge("quadrature", {"n_max": 0}))
+@example(edge("quadrature", {"n_max": 5000}))
+@example(edge("detection_threshold_check", {"alpha": True}))
+# found by this test: a bool or numpy scalar kept as it came, numpy scalar
+# arithmetic that overflows or rounds in float32, and a difference of two
+# finite angles that is not finite
+@example(edge("ExperimentConfig", {"detector_efficiency": True}))
+@example(edge("degree_of_entanglement", {"eta": np.int64(2**63 - 1)}))
+@example(edge("optimal_p_scan", {"step": np.float64(5e-324)}))
+@example(edge("dichotomic_gbs_matrix", {"p": np.float32(0.5), "phi": np.float32(0.5)}))
+@example(edge("dichotomic_gbs_matrix", {"phi": -1e308, "phi_prime": 1e308}))
 def test_every_library_call_keeps_the_error_contract(case):
     call, groups = case
     event(call)
+    names = {name for group in groups for name in group}
     try:
-        CALLS[call][0](*groups)
+        value = CALLS[call][0](*groups)
     except ValueError as exc:
-        names = {name for group in groups for name in group}
         assert str(exc).startswith(tuple(f"{name} " for name in names)), exc
+        return
+    assert not [(name, field) for group in groups for name, field in group.items()
+                if name not in ANY_NUMBER and refused(name, field)], value
+    assert finite(value), value
+    if isinstance(value, Frozen):  # the inputs it keeps are stored as Checked stores them
+        assert all(type(kept) in (float, int) for name, kept in vars(value).items()
+                   if name in names), value

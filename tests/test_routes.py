@@ -32,6 +32,7 @@ ORACLES = (
 #: the two routes agree on a wrong number.
 ALLOWED = {
     "binomial.check_fields": "refuses bad inputs and computes nothing",
+    "binomial.check_floats": "turns an input vector into floats, refused as check_fields refuses",
     "binomial._RULES": "check_fields' name table: the rule each named input must pass",
     "binomial._fault": "check_fields' scalar rule: names the rule a value breaks",
     "binomial._COUNTS": "_RULES' rows of the counts, which need not be finite",
