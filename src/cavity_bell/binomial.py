@@ -19,14 +19,16 @@ import math
 
 import numpy as np
 
+from .constants import MAX_GRID_POINTS
 from .fock import DEFAULT_N_MAX, Frozen, StateVector
 
 def wrap_angle(x: float) -> float:
-    """Reduce an angle to the canonical interval (-pi, pi].
+    """Reduce a finite angle to the canonical interval (-pi, pi]; refuse others as "angle".
 
     The package's one angle rule: every value type stores its angles through
     it, so the closed forms and the states see one float angle.
     """
+    check_fields((("angle", x),))
     w = math.remainder(float(x), math.tau)
     if w <= -math.pi:
         w += math.tau
@@ -57,6 +59,10 @@ _RULES = {
                     (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]")),
     "epsilons": (lambda x: -0.5 < x < 0.5, "lie in (-0.5, 0.5)"),
     "eta": (lambda x: math.isfinite(x * x), "have a finite square"),
+    # bell.p_grid's step; round() takes 1 / x only once it is bounded
+    "step": (lambda x: x > 0.0 and 1.0 / x + 1.0 <= MAX_GRID_POINTS
+             and abs(round(1.0 / x) * x - 1.0) <= 1e-9,
+             f"split [0, 1] evenly into at most {MAX_GRID_POINTS} grid points"),
     **_COUNTS,
 }
 

@@ -1,7 +1,7 @@
 """Names and limits shared by the command-line parser and the physics layer.
 
 Plain Python with no imports, so the parser can offer choices and defaults
-without loading numpy; ``fock`` and ``bell`` re-export these names.
+without loading numpy; ``fock`` re-exports the cutoff.
 """
 
 # Default Fock cutoff. Every state the protocols need lives in the span of

@@ -203,13 +203,16 @@ def generate_entangled_gbs(
     """
     params = EntangledGbsParams(p1=p1, p2=p2, theta1=theta1, theta2=theta2, eta=pair.eta)
     check_fields((("n_max", n_max),))
-    pulses = _jc_stack(np.array([PROBE_PULSE_AREA]), n_max)
-    joint = _generation_joint(_rotated_pair(params, n_max + 1), pulses)[0]
+    # One photon per cavity, as in _bell_protocol. The ground block is padded
+    # to n_max before it is normalised, because a shorter sum rounds differently.
+    pulses = _jc_stack(np.array([PROBE_PULSE_AREA]), 1)
+    joint = _generation_joint(_rotated_pair(params, 2), pulses)[0]
     probs = np.sum(np.abs(joint) ** 2, axis=(2, 3))
-    ground = joint[ATOM_DOWN, ATOM_DOWN]
-    weight = float(np.linalg.norm(ground))
+    ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    ground[:2, :2] = joint[ATOM_DOWN, ATOM_DOWN]
+    ground /= float(np.linalg.norm(ground))
     probs.setflags(write=False)
-    return GenerationResult(field=TwoCavityState(ground / weight), atom_probabilities=probs)
+    return GenerationResult(field=TwoCavityState(ground), atom_probabilities=probs)
 
 
 class ExperimentConfig(Checked):
@@ -388,7 +391,8 @@ def run_bell_experiment(cfg: ExperimentConfig) -> BellEstimate:
         retained = int(kept.sum())
         discarded += cfg.shots - retained
         if retained == 0:
-            raise RuntimeError(f"shots: none retained at setting {number}; cannot estimate")
+            raise ValueError(f"shots must retain a coincidence at every setting,"
+                             f" got {cfg.shots} with none at setting {number}")
         correlation = float(
             _correlation_from_probs(kept.reshape(2, 2).astype(float)) / retained
         )

@@ -86,12 +86,29 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _finite_complex(name: str, values) -> np.ndarray:
+    """``values`` as a new complex array, refused as input ``name`` unless each entry is finite.
+
+    The words are check_fields', at the first real or imaginary part at fault.
+    """
+    from .binomial import check_fields  # binomial imports this module
+
+    try:
+        array = np.array(values, dtype=complex)
+    except OverflowError:  # an int past the float range, which numpy cannot convert
+        check_fields((name, x) for x in np.ravel(np.asarray(values, dtype=object))
+                     if isinstance(x, int))
+        raise
+    check_fields(((name, array.real), (name, array.imag)))
+    return array
+
+
 def _unit_amplitudes(values, ndim: int) -> np.ndarray:
-    amps = np.array(values, dtype=complex)
+    amps = _finite_complex("amplitudes", values)
     if amps.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional amplitude array")
     norm2 = float(np.vdot(amps, amps).real)
-    if not abs(norm2 - 1.0) <= NORM_TOL:  # also refuses NaN amplitudes
+    if not abs(norm2 - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitudes are not normalized: |psi|^2 = {norm2!r}")
     amps.setflags(write=False)
     return amps
@@ -137,10 +154,6 @@ class TwoCavityState(Frozen):
             raise ValueError("both cavities must share one cutoff with n_max >= 1")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def n_max(self) -> int:
-        return self.amplitudes.shape[0] - 1
-
 
 class FieldOperator(Frozen):
     """Dense operator on one cavity mode, or on a flattened joint space."""
@@ -148,7 +161,7 @@ class FieldOperator(Frozen):
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = _finite_complex("matrix", self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
         mat.setflags(write=False)

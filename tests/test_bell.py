@@ -572,7 +572,7 @@ def test_preset_table_holds_the_parsers_choices():
     for call in calls:
         with pytest.raises(ValueError) as info:
             call()
-        assert str(info.value) == "unknown preset 'nope'; choose from ('maximal', 'wide')"
+        assert str(info.value) == "preset must be one of ('maximal', 'wide'), got 'nope'"
 
 
 BELL_FIELDS = {

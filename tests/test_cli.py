@@ -369,7 +369,8 @@ def test_help_offers_no_cutoff(capsys):
 def test_settings_are_numbered_from_one(tmp_path, capsys):
     # as the report keys setting.1 ... setting.4
     assert main(["simulate", "maximal", "--alpha", "0", "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == "error: shots: none retained at setting 1; cannot estimate\n"
+    assert capsys.readouterr().err == (
+        "error: shots must retain a coincidence at every setting, got 10000 with none at setting 1\n")
 
 
 def test_state_options_follow_the_state_fields():

@@ -29,16 +29,19 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from cavity_bell.bell import (BellConfig, analytic_s_b, angle_preset, bell_correlation,
-                              degree_of_entanglement, dichotomic_eigenstates, dichotomic_gbs_matrix,
-                              dichotomic_operator, eta_for_degree, optimal_p_scan, preset_config)
+                              bell_function, bell_function_operator, degree_of_entanglement,
+                              dichotomic_eigenstates, dichotomic_gbs_matrix, dichotomic_operator,
+                              eta_for_degree, optimal_p_scan, preset_config)
 from cavity_bell.binomial import (BinomialParams, GbsParams, binomial_overlap, binomial_state,
-                                  check_fields)
+                                  check_fields, gbs_state, orthogonal_partner, wrap_angle)
 from cavity_bell.cli import build_parser, main, parse_angle
 from cavity_bell.dynamics import (ExperimentConfig, InitialAtomPair, detection_threshold_check,
-                                  generate_entangled_gbs, timing_sensitivity)
-from cavity_bell.fields import (EntangledGbsParams, field_covariance_operator,
-                                field_expectation_operator)
-from cavity_bell.fock import Frozen, quadrature
+                                  generate_entangled_gbs, probe_measure, run_bell_experiment,
+                                  timing_sensitivity)
+from cavity_bell.fields import (EntangledGbsParams, entangled_gbs_state, field_covariance,
+                                field_covariance_operator, field_expectation_operator)
+from cavity_bell.fock import (FieldOperator, Frozen, RandomStream, StateVector, TwoCavityState,
+                              quadrature)
 
 #: Edge values of a number option: non-finite, past the square's range,
 #: subnormal, one ulp off a round value, and text that is no number.
@@ -209,6 +212,28 @@ CALLS = {
         lambda a, angles: optimal_p_scan(a["theta"], a["eta"], [angles[name] for name in ANGLES],
                                          a["step"]),
         [{"theta": 0.3, "eta": 0.7, "step": 0.1}, ANGLES]),
+    "bell_function": (lambda a: bell_function(BellConfig(**a)), [BELL]),
+    # at the default cutoff: the oracle's cost grows as n_max**3
+    "bell_function_operator": (lambda a: bell_function_operator(BellConfig(**a)), [BELL]),
+    "field_covariance": (lambda a: field_covariance(EntangledGbsParams(**a)), [STATE]),
+    "entangled_gbs_state": (lambda state, a: entangled_gbs_state(EntangledGbsParams(**state), **a),
+                            [STATE, CUTOFF]),
+    "gbs_state": (lambda g, a: gbs_state(GbsParams(**g), **a), [GBS, CUTOFF]),
+    "orthogonal_partner": (lambda a: orthogonal_partner(GbsParams(**a)), [GBS]),
+    "wrap_angle": (lambda a: wrap_angle(*a.values()), [{"angle": 0.3}]),
+    "run_bell_experiment": (
+        lambda bell, a: run_bell_experiment(ExperimentConfig(BellConfig(**bell), **a)), [BELL, RUN]),
+    # the field at the default cutoff, measured in the basis of the second dict
+    "probe_measure": (lambda field, d: probe_measure(gbs_state(GbsParams(**field)), GbsParams(**d),
+                                                     RandomStream(3)),
+                      [GBS, {"p": 0.6, "phi": -1.2}]),
+    # a state's or operator's first entry; the rest makes a unit state or the identity
+    "StateVector": (lambda a: StateVector([a["amplitudes"], 0.0]).amplitudes,
+                    [{"amplitudes": 1.0}]),
+    "TwoCavityState": (lambda a: TwoCavityState([[a["amplitudes"], 0.0], [0.0, 0.0]]).amplitudes,
+                       [{"amplitudes": 1.0}]),
+    "FieldOperator": (lambda a: FieldOperator([[a["matrix"], 0.0], [0.0, 1.0]]).matrix,
+                      [{"matrix": 1.0}]),
 }
 
 
@@ -250,6 +275,8 @@ def finite(value) -> bool:
         value = list(vars(value).values())
     elif isinstance(value, np.ndarray) and value.dtype.names:
         value = [value[name] for name in value.dtype.names]
+    if isinstance(value, str):  # a note's text holds no number
+        return True
     if isinstance(value, (tuple, list)):
         return all(map(finite, value))
     return bool(np.all(np.isfinite(value)))
@@ -281,6 +308,19 @@ def finite(value) -> bool:
 @example(edge("optimal_p_scan", {"step": np.float64(5e-324)}))
 @example(edge("dichotomic_gbs_matrix", {"p": np.float32(0.5), "phi": np.float32(0.5)}))
 @example(edge("dichotomic_gbs_matrix", {"phi": -1e308, "phi_prime": 1e308}))
+# refused in other words, unnamed or not at all before the p step, the angle
+# rule and the fock types went through check_fields; and a run that kept no
+# shot, which raised a RuntimeError
+@example(edge("optimal_p_scan", {"step": 0.3}))
+@example(edge("wrap_angle", {"angle": math.nan}))
+@example(edge("wrap_angle", {"angle": math.inf}))
+@example(edge("wrap_angle", {"angle": 10**400}))
+@example(edge("StateVector", {"amplitudes": 10**400}))
+@example(edge("TwoCavityState", {"amplitudes": -10**400}))
+@example(edge("FieldOperator", {"matrix": 10**400}))
+@example(edge("FieldOperator", {"matrix": math.nan}))
+@example(edge("run_bell_experiment", {"detector_efficiency": 0.0}))
+@example(edge("run_bell_experiment", {"p": 0.25}))  # a note's text among the numbers
 def test_every_library_call_keeps_the_error_contract(case):
     call, groups = case
     event(call)

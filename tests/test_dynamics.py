@@ -169,6 +169,22 @@ def test_generation_hits_target_state():
         assert abs(result.atom_probabilities[ATOM_DOWN, ATOM_DOWN] - 1.0) < 1e-12
 
 
+def test_generation_at_the_largest_cutoff_stays_small():
+    # The pulses act on one photon per cavity, so the largest cutoff costs
+    # only the 16 MiB joint state and its copy, not a (2d) x (2d) pulse.
+    tracemalloc.start()
+    try:
+        result = generate_entangled_gbs(InitialAtomPair(0.7), 0.3, 0.8, 0.8, -0.9, n_max=1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    target = entangled_gbs_state(
+        EntangledGbsParams(p1=0.3, p2=0.8, theta1=0.8, theta2=-0.9, eta=0.7), n_max=1024
+    )
+    assert abs(fidelity(result.field, target) - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("theta", (1e13, 1e17, -3e16))
 def test_protocol_is_exact_at_large_phase(theta):
     # the Ramsey phases, the target state and the probe settings all use

@@ -119,6 +119,29 @@ def test_zero_vector_rejected():
         StateVector.normalized(np.zeros(3))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: StateVector([[1.0, 0.0]]), "expected a 1-dimensional amplitude array"),
+    (lambda: TwoCavityState([1.0, 0.0]), "expected a 2-dimensional amplitude array"),
+    (lambda: StateVector([1.0]), "n_max must be at least 1"),
+    (lambda: TwoCavityState([[1.0, 0.0]]), "both cavities must share one cutoff with n_max >= 1"),
+    (lambda: TwoCavityState([[1.0]]), "both cavities must share one cutoff with n_max >= 1"),
+    (lambda: FieldOperator([[1.0, 0.0]]), "operator matrix must be square"),
+    (lambda: FieldOperator([1.0, 0.0]), "operator matrix must be square"),
+    (lambda: inner(StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0])),
+     "state dimensions differ"),
+    (lambda: expectation(quadrature(2), StateVector([1.0, 0.0])),
+     "operator dimension 3 does not match state dimension 2"),
+    (lambda: StateVector([10**400, 0.0]), f"amplitudes must be finite, got {10**400}"),
+    (lambda: TwoCavityState([[1.0, 0.0], [0.0, math.nan]]), "amplitudes must be finite, got nan"),
+    (lambda: FieldOperator([[0.0, complex(0.0, -math.inf)], [0.0, 1.0]]),
+     "matrix must be finite, got -inf"),
+])
+def test_kernel_refusals_read_exactly(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_quadrature_hermitian():
     e = quadrature(4)
     assert np.max(np.abs(e.matrix - e.matrix.conj().T)) <= 1e-12

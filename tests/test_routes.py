@@ -37,6 +37,7 @@ ALLOWED = {
     "binomial._fault": "check_fields' scalar rule: names the rule a value breaks",
     "binomial._COUNTS": "_RULES' rows of the counts, which need not be finite",
     "binomial._count": "builds a count's test in _COUNTS",
+    "constants.MAX_GRID_POINTS": "the grid limit in the step's row of _RULES",
     "binomial.Checked": "the checked value types' base: checks and stores their fields",
     "binomial.wrap_angle": "the one angle rule, applied to the inputs of both routes",
     "fock.Frozen": "the value types' base: binds and freezes fields",
