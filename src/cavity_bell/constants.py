@@ -5,8 +5,10 @@ without loading numpy; ``fock`` re-exports the cutoff.
 """
 
 # Default Fock cutoff. Every state the protocols need lives in the span of
-# |0> and |1>; one spare level is kept so photon-number leakage surfaces as
-# a norm defect instead of wrapping around silently.
+# |0> and |1>, the only levels dynamics holds. One spare level is kept so
+# that photon-number leakage in the operator oracle, or in a result dynamics
+# pads to this cutoff, surfaces as a norm defect instead of wrapping around
+# silently.
 DEFAULT_N_MAX = 2
 
 #: Angle presets of the Bell test (see bell.angle_preset).

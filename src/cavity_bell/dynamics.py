@@ -44,27 +44,41 @@ PROBE_PULSE_AREA = math.pi / 2.0
 ALPHA_THRESHOLD = 2.0 / (math.sqrt(2.0) + 1.0)
 
 
-def _jc_stack(gts: np.ndarray, n_max: int) -> np.ndarray:
-    """Unitaries of resonant pulses as u[k, atom_out, n_out, atom_in, n_in], one per area gts[k].
+def _jc_stack(gts: np.ndarray) -> np.ndarray:
+    """Unitaries of resonant pulses on |0> and |1> as u[k, atom_out, n_out, atom_in, n_in].
 
-    The uppermost excited level |up, n_max> has no partner inside the
-    cutoff and is left unchanged. No caller populates it: generation starts
-    from the vacuum and probe_measure refuses fields above one photon.
+    One per area gts[k]. A cavity written by one excited atom and read by
+    one ground-state probe never holds more than one photon, so these two
+    levels are the protocol's whole state space. |down, 0> is stationary,
+    |down, 1> and |up, 0> exchange at the one-photon Rabi frequency, and
+    |up, 1>, whose partner |down, 2> lies outside the span, is left
+    unchanged; no caller populates it.
     """
-    d = n_max + 1
-    u = np.zeros((len(gts), 2, d, 2, d), dtype=complex)
-    for n in range(d):
-        angle = gts * math.sqrt(n)
-        u[:, ATOM_DOWN, n, ATOM_DOWN, n] = np.cos(angle)
-        if n >= 1:
-            u[:, ATOM_UP, n - 1, ATOM_DOWN, n] = np.sin(angle)
-        if n < n_max:
-            angle = gts * math.sqrt(n + 1)
-            u[:, ATOM_UP, n, ATOM_UP, n] = np.cos(angle)
-            u[:, ATOM_DOWN, n + 1, ATOM_UP, n] = -np.sin(angle)
-        else:
-            u[:, ATOM_UP, n, ATOM_UP, n] = 1.0
+    u = np.zeros((len(gts), 2, 2, 2, 2), dtype=complex)
+    cos, sin = np.cos(gts), np.sin(gts)
+    u[:, ATOM_DOWN, 0, ATOM_DOWN, 0] = 1.0
+    u[:, ATOM_DOWN, 1, ATOM_DOWN, 1] = cos
+    u[:, ATOM_UP, 0, ATOM_DOWN, 1] = sin
+    u[:, ATOM_UP, 0, ATOM_UP, 0] = cos
+    u[:, ATOM_DOWN, 1, ATOM_UP, 0] = -sin
+    u[:, ATOM_UP, 1, ATOM_UP, 1] = 1.0
     return u
+
+
+def _pad(amplitudes: np.ndarray, n_max: int) -> np.ndarray:
+    """Amplitudes (batch, field, ...) on |0> and |1>, zero-padded to n_max + 1 levels per field.
+
+    The one place a protocol result meets a Fock cutoff: generation's ground
+    block, the sweep's ground block before its overlap and probe_measure's
+    post-field. Whatever then sums over the fields, a norm or an overlap,
+    sums over all n_max + 1 levels, as a route that held every level did,
+    because a shorter sum rounds differently: a 4-term np.vdot against a
+    9-term one.
+    """
+    fields = amplitudes.ndim - 1
+    out = np.zeros(amplitudes.shape[:1] + (n_max + 1,) * fields, dtype=complex)
+    out[(slice(None),) + (slice(2),) * fields] = amplitudes
+    return out
 
 
 def _ramsey_matrix(theta: float, phi: float) -> np.ndarray:
@@ -97,14 +111,14 @@ def probe_measure(field: StateVector, d: GbsParams, rng: RandomStream):
     tail = float(np.linalg.norm(field.amplitudes[2:]))
     if tail > 1e-10:
         raise ValueError(f"field has weight {tail**2:.3e} above one photon")
-    state = np.zeros((1, 2, field.n_max + 1), dtype=complex)  # (batch, atom, photon)
-    state[0, ATOM_DOWN] = field.amplitudes
-    state = _apply(state, _jc_stack(np.array([PROBE_PULSE_AREA]), field.n_max), (0, 1))
-    state = _apply(state, _basis_rotation(d.p, d.phi), (0,))[0]
-    p_up = float(np.sum(np.abs(state[ATOM_UP]) ** 2))
+    state = np.zeros((1, 2, 2), dtype=complex)  # (batch, atom, photon)
+    state[0, ATOM_DOWN] = field.amplitudes[:2]
+    state = _apply(state, _jc_stack(np.array([PROBE_PULSE_AREA])), (0, 1))
+    state = _apply(state, _basis_rotation(d.p, d.phi), (0,))
+    p_up = float(np.sum(np.abs(state[0, ATOM_UP]) ** 2))
     got_up = rng.uniform() < p_up
-    post_field = StateVector.normalized(state[ATOM_UP if got_up else ATOM_DOWN])
-    return (1 if got_up else -1), post_field
+    post_field = _pad(state[:, ATOM_UP if got_up else ATOM_DOWN], field.n_max)[0]
+    return (1 if got_up else -1), StateVector.normalized(post_field)
 
 
 class InitialAtomPair(Checked):
@@ -136,13 +150,9 @@ def _apply(state: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarr
     single-state numbers bit for bit.
 
     Each output amplitude is one matmul sum over the operator's input
-    index, taken in index order. A larger Fock cutoff only inserts exact
-    zero terms into that sum, which leave every partial sum as it was, so
-    the protocol gives the same bits at a cutoff of 1 as at 2 (see
-    _bell_protocol). The probe readout applies its 2 x 2 Ramsey rotations
-    to all rows as one matrix, which forms each amplitude from the same two
-    terms. Sums grouped otherwise do round differently: a 4-term np.vdot
-    against a 9-term one, or one 16-term reduction against two 4-term ones.
+    index, taken in index order. The probe readout applies its 2 x 2
+    Ramsey rotations to all rows as one matrix, which forms each amplitude
+    from the same two terms.
     """
     moved = [axis + 1 for axis in axes]
     order = [0, *moved, *(axis for axis in range(1, state.ndim) if axis not in moved)]
@@ -153,11 +163,11 @@ def _apply(state: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarr
     return out.transpose(sorted(range(state.ndim), key=order.__getitem__))  # order's inverse
 
 
-def _rotated_pair(params: EntangledGbsParams, d: int) -> np.ndarray:
+def _rotated_pair(params: EntangledGbsParams) -> np.ndarray:
     """Amplitudes (1, atom1, atom2, field1, field2) of the atom pair after its Ramsey zones.
 
     The pair starts in (|up down> + eta |down up>) / sqrt(1 + eta^2) with
-    the eta of ``params``, and the cavities hold d levels each, both empty.
+    the eta of ``params``, and both cavities are empty.
     Each atom crosses its Ramsey zone, _basis_rotation(p_j, theta_j). The
     relative phase of the initial atomic superposition is locked to the two
     field phases, exp(i (theta2 - theta1)); the pulse applied to an excited
@@ -165,7 +175,7 @@ def _rotated_pair(params: EntangledGbsParams, d: int) -> np.ndarray:
     is what makes the two branches interfere with the plain real weight
     eta. With equal field phases it is the identity.
     """
-    state = np.zeros((1, 2, 2, d, d), dtype=complex)
+    state = np.zeros((1, 2, 2, 2, 2), dtype=complex)
     rel = cmath.exp(1j * (params.theta2 - params.theta1))
     norm = norm_const(params.eta)
     state[0, ATOM_UP, ATOM_DOWN, 0, 0] = norm
@@ -203,13 +213,9 @@ def generate_entangled_gbs(
     """
     params = EntangledGbsParams(p1=p1, p2=p2, theta1=theta1, theta2=theta2, eta=pair.eta)
     check_fields((("n_max", n_max),))
-    # One photon per cavity, as in _bell_protocol. The ground block is padded
-    # to n_max before it is normalised, because a shorter sum rounds differently.
-    pulses = _jc_stack(np.array([PROBE_PULSE_AREA]), 1)
-    joint = _generation_joint(_rotated_pair(params, 2), pulses)[0]
-    probs = np.sum(np.abs(joint) ** 2, axis=(2, 3))
-    ground = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    ground[:2, :2] = joint[ATOM_DOWN, ATOM_DOWN]
+    joint = _generation_joint(_rotated_pair(params), _jc_stack(np.array([PROBE_PULSE_AREA])))
+    probs = np.sum(np.abs(joint[0]) ** 2, axis=(2, 3))
+    ground = _pad(joint[:, ATOM_DOWN, ATOM_DOWN], n_max)[0]
     ground /= float(np.linalg.norm(ground))
     probs.setflags(write=False)
     return GenerationResult(field=TwoCavityState(ground), atom_probabilities=probs)
@@ -303,7 +309,7 @@ def _probe_outcome_probabilities(
     return probs
 
 
-def _bell_protocol(bell: BellConfig, relative_errors: np.ndarray, n_max: int = 1):
+def _bell_protocol(bell: BellConfig, relative_errors: np.ndarray):
     """Generate the symmetric state and probe it at the four settings.
 
     Every pulse of row k has area (pi/2)(1 + relative_errors[k]). Yields,
@@ -313,23 +319,20 @@ def _bell_protocol(bell: BellConfig, relative_errors: np.ndarray, n_max: int = 1
     pair and the four readout rotations are made once, before the first
     block.
 
-    A cavity written by one excited atom and read by one ground-state
-    probe never holds more than one photon, so the default cutoff is 1.
-    The commands' cutoff of 2 only adds exact zeros, in places that leave
-    every product and sum as it was (see _apply), so the amplitudes and
-    probabilities are the bits of the stage-by-stage route at cutoff 2;
-    tests/test_dynamics.py holds the two routes equal. Higher cutoffs can
-    regroup the field sums and move the last bit
-    (tests/test_properties.py::test_fock_cutoff_is_inert).
+    Every amplitude lies on the field levels |0> and |1> (see _jc_stack).
+    The amplitudes and probabilities are the bits of the stage-by-stage
+    route at the commands' cutoff of 2, whose extra level only adds exact
+    zero terms to every sum; tests/test_dynamics.py holds the two routes
+    equal.
     """
-    pair = _rotated_pair(bell.state_params, n_max + 1)
+    pair = _rotated_pair(bell.state_params)
     first = [_basis_rotation(bell.p, phi) for phi in (bell.phi1, bell.phi1_prime)]
     second = np.stack([_basis_rotation(bell.p, phi) for phi in (bell.phi2, bell.phi2_prime)])
     # the largest stack is one phi_a's readout: two phi_b times the
     # (atom1, atom2, probe1, probe2, field1, field2) amplitudes of a row
     row_size = 2 * pair.size * 4
     for part in blocks(len(relative_errors), row_size):
-        pulses = _jc_stack(PROBE_PULSE_AREA * (1.0 + relative_errors[part]), n_max)
+        pulses = _jc_stack(PROBE_PULSE_AREA * (1.0 + relative_errors[part]))
         joint = _generation_joint(pair, pulses)
         yield part, joint, _probe_outcome_probabilities(joint, pulses, first, second)
 
@@ -463,15 +466,9 @@ def timing_sensitivity(cfg: ExperimentConfig, relative_errors) -> np.recarray:
     # field views taken once: each recarray attribute lookup builds a new view
     epsilons, fidelity, s_b = rows.epsilon, rows.fidelity, rows.s_b
     bell_cfg = cfg.bell
-    target = entangled_gbs_state(bell_cfg.state_params).amplitudes
+    target = entangled_gbs_state(bell_cfg.state_params, DEFAULT_N_MAX).amplitudes
     for part, joint, probs in _bell_protocol(bell_cfg, epsilons):
-        # The protocol runs at a cutoff of one photon. The overlap still sums
-        # over the target's levels, with the rest of the block zero, because
-        # a shorter sum rounds differently.
-        d = joint.shape[-1]
-        ground = np.zeros((len(joint),) + target.shape, dtype=complex)
-        ground[:, :d, :d] = joint[:, ATOM_DOWN, ATOM_DOWN]
-        overlap = braket(target, ground)
+        overlap = braket(target, _pad(joint[:, ATOM_DOWN, ATOM_DOWN], DEFAULT_N_MAX))
         # hypot, not np.abs: it rounds like abs() on a single complex number.
         fidelity[part] = np.hypot(overlap.real, overlap.imag) ** 2
         s_b[part] = chsh(*_correlation_from_probs(probs).T)

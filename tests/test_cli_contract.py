@@ -223,10 +223,10 @@ CALLS = {
     "wrap_angle": (lambda a: wrap_angle(*a.values()), [{"angle": 0.3}]),
     "run_bell_experiment": (
         lambda bell, a: run_bell_experiment(ExperimentConfig(BellConfig(**bell), **a)), [BELL, RUN]),
-    # the field at the default cutoff, measured in the basis of the second dict
-    "probe_measure": (lambda field, d: probe_measure(gbs_state(GbsParams(**field)), GbsParams(**d),
-                                                     RandomStream(3)),
-                      [GBS, {"p": 0.6, "phi": -1.2}]),
+    # the field of the first two dicts, measured in the basis of the third
+    "probe_measure": (lambda field, a, d: probe_measure(gbs_state(GbsParams(**field), **a),
+                                                        GbsParams(**d), RandomStream(3)),
+                      [GBS, CUTOFF, {"p": 0.6, "phi": -1.2}]),
     # a state's or operator's first entry; the rest makes a unit state or the identity
     "StateVector": (lambda a: StateVector([a["amplitudes"], 0.0]).amplitudes,
                     [{"amplitudes": 1.0}]),
@@ -299,6 +299,7 @@ def finite(value) -> bool:
 @example(edge("quadrature", {"n_max": -1.0}))
 @example(edge("quadrature", {"n_max": 0}))
 @example(edge("quadrature", {"n_max": 5000}))
+@example(edge("probe_measure", {"n_max": 1024}))  # the largest cutoff
 @example(edge("detection_threshold_check", {"alpha": True}))
 # found by this test: a bool or numpy scalar kept as it came, numpy scalar
 # arithmetic that overflows or rounds in float32, and a difference of two

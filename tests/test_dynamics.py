@@ -44,17 +44,48 @@ from cavity_bell.fields import EntangledGbsParams, entangled_gbs_state, norm_con
 from cavity_bell.fock import RandomStream, StateVector, braket, fidelity, inner
 
 
+def _jc_levels(gts, n_max):
+    """Resonant pulses on every level up to n_max, as u[k, atom_out, n_out, atom_in, n_in].
+
+    The reference for _jc_stack, which holds |0> and |1> only. The
+    uppermost excited level |up, n_max> has no partner inside the cutoff
+    and is left unchanged.
+    """
+    d = n_max + 1
+    u = np.zeros((len(gts), 2, d, 2, d), dtype=complex)
+    for n in range(d):
+        angle = gts * math.sqrt(n)
+        u[:, ATOM_DOWN, n, ATOM_DOWN, n] = np.cos(angle)
+        if n >= 1:
+            u[:, ATOM_UP, n - 1, ATOM_DOWN, n] = np.sin(angle)
+        if n < n_max:
+            angle = gts * math.sqrt(n + 1)
+            u[:, ATOM_UP, n, ATOM_UP, n] = np.cos(angle)
+            u[:, ATOM_DOWN, n + 1, ATOM_UP, n] = -np.sin(angle)
+        else:
+            u[:, ATOM_UP, n, ATOM_UP, n] = 1.0
+    return u
+
+
 def test_jc_matrix_unitary():
+    # _jc_stack is the multi-level pulse on |down, 0>, |down, 1> and |up, 0>,
+    # the columns that stay in the span of |0> and |1>, to the bit; |up, 1>
+    # couples to |down, 2> and is the one column no protocol state populates
+    atoms, levels = [ATOM_DOWN, ATOM_DOWN, ATOM_UP], [0, 1, 0]
     for gt in (0.0, 0.5, math.pi / 2, 1.9):
         for n_max in (1, 2, 4):
             dim = 2 * (n_max + 1)
-            u = _jc_stack(np.array([gt]), n_max)[0].reshape(dim, dim)
-            assert np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-14)
+            u = _jc_levels(np.array([gt]), n_max)
+            matrix = u[0].reshape(dim, dim)
+            assert np.allclose(matrix.conj().T @ matrix, np.eye(dim), atol=1e-14)
+            span = np.zeros((1, 2, n_max + 1, 3), dtype=complex)
+            span[:, :, :2] = _jc_stack(np.array([gt]))[..., atoms, levels]
+            assert np.array_equal(u[..., atoms, levels], span)
 
 
 def test_jc_ground_vacuum_is_stationary():
     # column (down, 0) of the unitary is the image of |down, 0>
-    out = _jc_stack(np.array([1.3]), 2)[0][:, :, ATOM_DOWN, 0]
+    out = _jc_levels(np.array([1.3]), 2)[0][:, :, ATOM_DOWN, 0]
     want = np.zeros((2, 3))
     want[ATOM_DOWN, 0] = 1.0
     assert np.allclose(out, want, atol=1e-14)
@@ -62,7 +93,7 @@ def test_jc_ground_vacuum_is_stationary():
 
 def test_jc_half_cycle_swaps_qubit_into_vacuum():
     # |down, 1> -> |up, 0> and |up, 0> -> -|down, 1> at gt = pi/2
-    u = _jc_stack(np.array([math.pi / 2]), 2)[0]
+    u = _jc_levels(np.array([math.pi / 2]), 2)[0]
     assert abs(u[ATOM_UP, 0, ATOM_DOWN, 1] - 1.0) < 1e-14
     assert abs(u[ATOM_DOWN, 1, ATOM_UP, 0] + 1.0) < 1e-14
 
@@ -70,7 +101,7 @@ def test_jc_half_cycle_swaps_qubit_into_vacuum():
 def test_jc_rabi_frequency_scales_with_sqrt_n():
     # |down, 2> splits as cos/sin of gt*sqrt(2) between |down, 2> and |up, 1>
     gt = 0.4
-    u = _jc_stack(np.array([gt]), 3)[0]
+    u = _jc_levels(np.array([gt]), 3)[0]
     assert abs(u[ATOM_DOWN, 2, ATOM_DOWN, 2] - math.cos(gt * math.sqrt(2))) < 1e-14
     assert abs(u[ATOM_UP, 1, ATOM_DOWN, 2] - math.sin(gt * math.sqrt(2))) < 1e-14
 
@@ -169,20 +200,36 @@ def test_generation_hits_target_state():
         assert abs(result.atom_probabilities[ATOM_DOWN, ATOM_DOWN] - 1.0) < 1e-12
 
 
-def test_generation_at_the_largest_cutoff_stays_small():
-    # The pulses act on one photon per cavity, so the largest cutoff costs
-    # only the 16 MiB joint state and its copy, not a (2d) x (2d) pulse.
+def _traced_peak(call):
+    """call()'s result and the peak of the memory it allocated, in bytes."""
     tracemalloc.start()
     try:
-        result = generate_entangled_gbs(InitialAtomPair(0.7), 0.3, 0.8, 0.8, -0.9, n_max=1024)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_generation_at_the_largest_cutoff_stays_small():
+    # The pulses act on one photon per cavity, so the largest cutoff costs
+    # only the 16 MiB joint state and its copy, not a (2d) x (2d) pulse.
+    result, peak = _traced_peak(
+        lambda: generate_entangled_gbs(InitialAtomPair(0.7), 0.3, 0.8, 0.8, -0.9, n_max=1024))
     assert peak < 64 * 2**20, peak
     target = entangled_gbs_state(
         EntangledGbsParams(p1=0.3, p2=0.8, theta1=0.8, theta2=-0.9, eta=0.7), n_max=1024
     )
     assert abs(fidelity(result.field, target) - 1.0) < 1e-12
+    # the probe swaps levels 0 and 1 alone: its cost is the 16 KiB post-field
+    d = DichotomicParams(0.6, -1.2)
+    field = gbs_state(GbsParams(0.4, 0.3), 1024)
+    (outcome, post), peak = _traced_peak(lambda: probe_measure(field, d, RandomStream(3)))
+    assert peak < 2**20, peak
+    small_outcome, small_post = probe_measure(gbs_state(GbsParams(0.4, 0.3), 2), d, RandomStream(3))
+    assert outcome == small_outcome
+    assert post.n_max == 1024 and not np.any(post.amplitudes[2:])
+    assert np.max(np.abs(post.amplitudes[:2] - small_post.amplitudes[:2])) <= 1e-15
 
 
 @pytest.mark.parametrize("theta", (1e13, 1e17, -3e16))
@@ -523,7 +570,7 @@ def _reference_protocol(bell, gts):
     outcome probabilities (k, setting, q1, q2).
     """
     d = 3
-    pulses = _jc_stack(gts, d - 1)
+    pulses = _jc_levels(gts, d - 1)
     params = bell.state_params
     state = np.zeros((1, 2, 2, d, d), dtype=complex)
     norm = norm_const(params.eta)

@@ -30,6 +30,7 @@ from cavity_bell.bell import (
 )
 from cavity_bell.binomial import GbsParams
 from cavity_bell.dynamics import (
+    ATOM_UP,
     PROBE_PULSE_AREA,
     ExperimentConfig,
     InitialAtomPair,
@@ -234,19 +235,22 @@ def test_rows_across_blocks_equal_single_calls():
 )
 def test_fock_cutoff_is_inert(p1, p2, t1, t2, eta, phis, epsilons):
     # Bernoulli fields made in empty cavities and read by ground-state probes
-    # never leave the span of |0> and |1>, at any pulse area. Cutoffs only
-    # add zero terms, which can move a sum's rounding by a few ulp.
+    # never leave the span of |0> and |1>, at any pulse area, so the protocol
+    # holds those two levels alone. Its sentinel is |up, 1>, the one level
+    # whose pulse partner |down, 2> lies outside the span: it must hold
+    # exactly 0 in both cavities. Cutoffs only add zero terms to the oracle,
+    # the field moments and generation, which can move a sum's rounding by a
+    # few ulp.
     params = EntangledGbsParams(p1, p2, t1, t2, eta)
     bell = config(p1, t1, eta, phis)
     epsilons = np.asarray(epsilons)
-    gts = PROBE_PULSE_AREA * (1.0 + epsilons)
+    for part, joint, _ in _bell_protocol(bell, epsilons):  # one or more blocks
+        probed = _probe_pulses(joint, _jc_stack(PROBE_PULSE_AREA * (1.0 + epsilons[part])))
+        # (row, atom1, atom2, field1, field2), then (row, ..., probe1, probe2, field1, field2)
+        assert not np.any(joint[:, ATOM_UP, :, 1]) and not np.any(joint[:, :, ATOM_UP, :, 1])
+        assert not np.any(probed[..., ATOM_UP, :, 1, :]) and not np.any(probed[..., ATOM_UP, :, 1])
     results = []
     for cutoff in (1, 2, 5):
-        stages = list(_bell_protocol(bell, epsilons, cutoff))  # one or more blocks
-        joint = np.concatenate([joint for _, joint, _ in stages])
-        probs = np.concatenate([probs for *_, probs in stages])
-        for amplitudes in (joint, _probe_pulses(joint, _jc_stack(gts, cutoff))):
-            assert not np.any(amplitudes[..., 2:, :]) and not np.any(amplitudes[..., 2:])
         generated = generate_entangled_gbs(InitialAtomPair(eta), p1, t1, p2, t2, n_max=cutoff)
         stats = field_covariance_operator(params, cutoff)
         results.append(
@@ -255,7 +259,6 @@ def test_fock_cutoff_is_inert(p1, p2, t1, t2, eta, phis, epsilons):
                     bell_function_operator_vs_eta(t1, eta, phis, p1, cutoff),
                     [getattr(stats, name) for name in FieldStats._fields],
                     [fidelity(generated.field, entangled_gbs_state(params, cutoff))],
-                    probs.ravel(),
                 ]
             )
         )
